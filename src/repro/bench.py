@@ -1,29 +1,11 @@
-"""Benchmark telemetry: the ``repro bench`` subcommand.
+"""In-run performance gates: the ``repro bench`` subcommand.
 
-Runs the small benchmark fixtures (RA30 / IVD / PCR by default, the same
-assays the golden regression pins cover) cold through the batch engine,
-times a tiny design-space exploration (the ``repro explore`` hot path), and
-writes a machine-readable ``BENCH_9.json`` so the performance trajectory of
-the repository has data points a CI job can collect and compare across
-commits:
+Performance of the synthesis flow — job latency, throughput, chip quality
+and the per-layer breakdown — is measured by ``perfbench/`` with repeated
+samples (see ``perfbench/README.md``).  ``repro bench`` keeps only the two
+checks that compare against a baseline measured in the same run, so their
+gates hold on any machine:
 
-* per-experiment wall time and makespan,
-* per-stage solver invocations (the in-process counters of
-  :mod:`repro.synthesis.pipeline` — cache replays excluded by design),
-* which solver backend produced each exact stage, whether the portfolio
-  had to fall back, and whether the solve consumed a warm start,
-* the exploration smoke's wall time, candidate counts, and frontier size,
-* an *anytime* branch-and-bound probe: IVD at ``--solver
-  branch-and-bound`` under a deliberately tiny time budget, recording the
-  makespan the warm-started backend delivers within it — the quantity the
-  warm-start work moves (the seed backend returned a makespan of 520 at
-  any budget; the warm-started one returns the optimal 280 immediately),
-* a two-replica throughput probe: an in-process cache daemon plus two
-  synthesis-service replicas on the ``shared`` cache backend, each running
-  one of two overlapping solver-free PCR pitch sweeps — recording combined
-  jobs/s and the total number of scheduling solves the pair performed
-  (exactly one: the pitch axis never touches the schedule stage, so
-  cross-process single-flight must let one replica's solve serve both),
 * a verify-throughput probe: trials/s of the vectorized fault-free and
   masked fault-path Monte-Carlo kernels on a solver-free PCR schedule,
   each against the scalar reference engine (``REPRO_MC_SCALAR=1``)
@@ -35,92 +17,28 @@ commits:
   and without an installed trace recorder (modes interleaved, best-of per
   side — load spikes never survive a minimum), recording each assay's
   span summaries and the aggregate overhead percentage the flight
-  recorder costs (CI asserts it stays under 3%),
-* a ``delta`` section against the most recent previous ``BENCH_*.json``
-  found next to the output file, so a regression is visible in the payload
-  itself, not only after downloading two artifacts — including per-assay
-  schedule-stage wall times, the B&B probe's speedup over the previous
-  file's IVD schedule stage, and the verify probe's in-run speedups.
+  recorder costs.
 
-The file name carries the PR sequence number of the benchmark format
-(``BENCH_9``) rather than a timestamp, so CI artifact uploads of different
-commits are directly comparable — and the repository commits each sequence
-point, making the checked-in ``BENCH_9.json`` the trajectory's next
-recorded entry.  The payload also embeds :data:`repro.keys.KEY_VERSION` — a
-bump there invalidates every cache, so wall-time regressions across a bump
-are expected and the comparison tooling can tell the two apart.
+The subcommand takes no arguments, prints both probe records and every
+gate failure as one JSON line, and exits 1 when any gate fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import time
-from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.batch.cache import ResultCache
 from repro.batch.engine import BatchSynthesisEngine
 from repro.batch.jobs import BatchJob
-from repro.graph.library import PAPER_ASSAYS, assay_by_name
-from repro.keys import KEY_VERSION
+from repro.graph.library import assay_by_name
 from repro.synthesis.config import FlowConfig
-from repro.synthesis.pipeline import reset_stage_invocations, stage_invocations
 
-#: The small fixtures: cheap enough for every CI run, and exactly the
-#: assays whose results the golden regression tests pin.
+#: The assays of the overhead probe: exactly the golden trio.
 DEFAULT_ASSAYS = ("RA30", "IVD", "PCR")
-
-#: Format version of the BENCH_*.json payload (independent of the file
-#: name, which tracks the PR that introduced or last evolved the
-#: telemetry).  v2 added the exploration smoke and the delta section; v3
-#: added ``warm_start_used`` per stage, the anytime branch-and-bound probe
-#: (``bb_probe``), and schedule-stage wall times in the delta; v4 added the
-#: two-replica shared-cache throughput record (``replica``) and a first
-#: (stage-timing) Monte-Carlo verification probe; v5 reshapes
-#: ``verify_probe`` into a throughput probe: trials/s of the vectorized
-#: fault-free and masked fault kernels against the scalar reference engine
-#: measured in the same run, surfaced as ``delta.verify_probe``; v6 adds
-#: the instrumentation-overhead probe (``obs_probe``): the golden trio
-#: traced vs untraced, interleaved and best-of-three, with the traced
-#: runs' span summaries embedded and the aggregate overhead surfaced as
-#: ``delta.obs_probe``.
-BENCH_FORMAT = 6
-
-#: Time budget of the anytime branch-and-bound probe.  Deliberately tiny:
-#: the probe measures solution *quality under a budget*, not proof time —
-#: pure interval-propagation B&B cannot close IVD's optimality proof (the
-#: resource contention that forces the 280 makespan is invisible to
-#: interval bounds), but the warm-started search returns the optimum as its
-#: incumbent from the first node, so any budget suffices to collect it.
-BB_PROBE_TIME_LIMIT_S = 0.1
-
-#: The tiny exploration the bench times: two workload families × four
-#: configs, solver-free (list scheduler + heuristic synthesis) so the smoke
-#: measures the exploration machinery, not an ILP.
-EXPLORE_SMOKE_SPEC: Dict[str, Any] = {
-    "name": "bench-explore-smoke",
-    "workloads": [
-        {"assay": "PCR"},
-        {"generator": "random_assay", "num_operations": 12, "seed": 5, "id": "ra12"},
-    ],
-    "axes": {"num_mixers": [2, 3], "pitch": [5.0, 6.0]},
-    "base": {"ilp_operation_limit": 0},
-    "objectives": ["makespan", "storage_cells", "device_count"],
-    "strategy": "successive-halving",
-}
-
-#: The two overlapping pitch sweeps of the two-replica throughput probe:
-#: six points each, three shared.  Solver-free (``ilp_operation_limit: 0``)
-#: so the probe measures cache/claim machinery and replica plumbing, not an
-#: ILP — and pitch-only, so the whole pair of sweeps contains exactly one
-#: distinct scheduling problem.
-REPLICA_SWEEP_PITCHES = (
-    [5.0, 6.0, 7.0, 8.0, 9.0, 10.0],
-    [8.0, 9.0, 10.0, 11.0, 12.0, 13.0],
-)
 
 #: Trial counts of the Monte-Carlo verify-throughput probe: the
 #: vectorized fault-free path is timed over 4096 uniform-jitter trials and
@@ -130,17 +48,19 @@ REPLICA_SWEEP_PITCHES = (
 VERIFY_PROBE_FAULT_FREE_TRIALS = 4096
 VERIFY_PROBE_FAULT_TRIALS = 1024
 
-#: Speedup floors the CI bench job (and the committed-trajectory tests)
-#: assert on the verify-throughput probe.
+#: Speedup floors :func:`run_bench` enforces on the verify-throughput probe.
 VERIFY_PROBE_FAULT_FREE_FLOOR = 10.0
 VERIFY_PROBE_FAULT_FLOOR = 3.0
 
-#: Ceiling the CI bench job asserts on the instrumentation-overhead
+#: Ceiling :func:`run_bench` enforces on the instrumentation-overhead
 #: probe's aggregate ``overhead_pct``: the flight recorder must cost the
 #: golden trio less than this, measured traced-vs-untraced in the same
 #: run with the two modes interleaved (best-of per side, so a load spike
 #: on a shared runner cannot masquerade as tracing overhead).
 OBS_PROBE_OVERHEAD_CEILING_PCT = 3.0
+
+#: Spans every traced run of the overhead probe must record.
+OBS_PROBE_STAGE_SPANS = frozenset({"stage:schedule", "stage:archsyn", "stage:physical"})
 
 #: Timed samples per side (traced / untraced) of the overhead probe, and
 #: how many times each sample runs the whole assay list back to back.
@@ -157,324 +77,6 @@ OBS_PROBE_REPS = 5
 #: does not reproduce, a genuine regression (the ceiling sits at ~8x
 #: the measured span cost) fails every attempt.
 OBS_PROBE_ATTEMPTS = 5
-
-
-def build_bench_parser() -> argparse.ArgumentParser:
-    """Argument surface of the ``repro bench`` subcommand."""
-    from repro.cli import _add_solver_argument
-
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description="Run the small benchmark fixtures cold and write "
-        "machine-readable telemetry (wall time, solver invocations, backend "
-        "used per stage) to a JSON file for the perf trajectory.",
-    )
-    parser.add_argument(
-        "--out", type=Path, default=Path("BENCH_9.json"),
-        help="output JSON path (default BENCH_9.json)",
-    )
-    parser.add_argument(
-        "--assays", nargs="+", default=list(DEFAULT_ASSAYS),
-        choices=sorted(PAPER_ASSAYS),
-        help=f"assays to benchmark (default {' '.join(DEFAULT_ASSAYS)})",
-    )
-    parser.add_argument(
-        "--no-explore", action="store_true",
-        help="skip the design-space-exploration smoke timing",
-    )
-    parser.add_argument(
-        "--no-bb-probe", action="store_true",
-        help="skip the anytime branch-and-bound probe",
-    )
-    parser.add_argument(
-        "--no-replica", action="store_true",
-        help="skip the two-replica shared-cache throughput probe",
-    )
-    parser.add_argument(
-        "--no-verify-probe", action="store_true",
-        help="skip the Monte-Carlo verification probe",
-    )
-    parser.add_argument(
-        "--no-obs-probe", action="store_true",
-        help="skip the instrumentation-overhead probe",
-    )
-    parser.add_argument(
-        "--bb-time-limit", type=float, default=BB_PROBE_TIME_LIMIT_S,
-        help="time budget of the anytime branch-and-bound probe in seconds "
-        f"(default {BB_PROBE_TIME_LIMIT_S})",
-    )
-    parser.add_argument(
-        "--time-limit", type=float, default=20.0,
-        help="ILP time limit per solve in seconds (default 20, the golden-"
-        "regression setting)",
-    )
-    _add_solver_argument(parser)
-    return parser
-
-
-def _bench_config(assay: str, time_limit_s: float, solver: Optional[str]) -> FlowConfig:
-    """Paper-default config for ``assay`` under the bench time limit."""
-    from repro.synthesis.config import apply_solver_override
-
-    config = FlowConfig.paper_defaults_for(assay)
-    config.ilp_time_limit_s = time_limit_s
-    config.archsyn_time_limit_s = time_limit_s
-    return apply_solver_override(config, solver)
-
-
-def run_experiment(assay: str, time_limit_s: float, solver: Optional[str]) -> Dict[str, Any]:
-    """Run one assay cold and return its telemetry record.
-
-    Every experiment gets a fresh engine and a fresh memory-only cache so
-    the numbers measure real solves, never replays; the stage-invocation
-    counters are snapshotted around the run to prove it.
-    """
-    job = BatchJob(assay, assay_by_name(assay), _bench_config(assay, time_limit_s, solver))
-    engine = BatchSynthesisEngine(max_workers=1, cache=ResultCache())
-    reset_stage_invocations()
-    start = time.perf_counter()
-    report = engine.run([job])
-    wall_time_s = time.perf_counter() - start
-    invocations = stage_invocations()
-    outcome = report.outcomes[0]
-    record: Dict[str, Any] = {
-        "assay": assay,
-        "ok": outcome.ok,
-        "error": outcome.error,
-        "wall_time_s": round(wall_time_s, 4),
-        "solver_invocations": invocations,
-        "stages": [
-            {
-                "stage": execution.stage,
-                "action": execution.action,
-                "wall_time_s": round(execution.wall_time_s, 4),
-                "backend": execution.backend,
-                "fallback_used": execution.fallback_used,
-                "warm_start_used": execution.warm_start_used,
-            }
-            for execution in outcome.stages
-        ],
-    }
-    schedule_wall = _schedule_stage_wall(record)
-    if schedule_wall is not None:
-        record["schedule_stage_s"] = schedule_wall
-    if outcome.ok:
-        metrics = outcome.metrics()
-        record["makespan"] = metrics.execution_time
-        record["scheduler_engine"] = metrics.scheduler_engine
-        record["synthesis_engine"] = metrics.synthesis_engine
-    return record
-
-
-def _schedule_stage_wall(record: Any) -> Optional[float]:
-    """Wall time of a record's executed schedule stage, if present."""
-    if not isinstance(record, dict):
-        return None
-    for row in record.get("stages") or []:
-        if (
-            isinstance(row, dict)
-            and row.get("stage") == "schedule"
-            and row.get("action") == "ran"
-            and isinstance(row.get("wall_time_s"), (int, float))
-        ):
-            return float(row["wall_time_s"])
-    return None
-
-
-def run_bb_probe(time_limit_s: float) -> Dict[str, Any]:
-    """The anytime branch-and-bound probe: IVD under a tiny budget.
-
-    The dependency-free branch-and-bound backend cannot *prove* IVD's
-    optimality — its interval-propagation bound never sees the device
-    contention that forces the 280 makespan, so the proof tree is
-    exponential no matter how fast a node is.  What the vectorized,
-    warm-started backend *can* do — and the seed could not at any budget —
-    is deliver the optimal schedule immediately: the list-heuristic warm
-    start seeds the incumbent, so the solve returns makespan 280 within
-    whatever budget it is given.  The probe pins exactly that: solution
-    quality at a budget a whole sweep can afford, an order of magnitude
-    below one exact HiGHS solve.
-    """
-    record = run_experiment("IVD", time_limit_s, "branch-and-bound")
-    record["solver"] = "branch-and-bound"
-    record["time_limit_s"] = time_limit_s
-    return record
-
-
-def run_explore_smoke() -> Dict[str, Any]:
-    """Time the tiny cold exploration and return its telemetry record.
-
-    A fresh memory-only cache, so the smoke pays its real solves — the
-    point is tracking the exploration machinery's overhead (candidate
-    enumeration, cheap triage, frontier updates) along the trajectory.
-    """
-    from repro.explore import ExplorationEngine, ExplorationSpec
-
-    spec = ExplorationSpec.from_payload(dict(EXPLORE_SMOKE_SPEC))
-    engine = ExplorationEngine(spec, cache=ResultCache())
-    start = time.perf_counter()
-    try:
-        report = engine.run()
-    except Exception as exc:  # noqa: BLE001 - telemetry must not crash bench
-        return {
-            "name": spec.name,
-            "ok": False,
-            "error": f"{type(exc).__name__}: {exc}",
-            "wall_time_s": round(time.perf_counter() - start, 4),
-        }
-    # The smoke is a fixed, solver-free fixture: *any* failed candidate
-    # means breakage, so ok demands a clean sweep, not merely "not all
-    # candidates failed".
-    return {
-        "name": spec.name,
-        "ok": report.evaluated > 0 and report.failed == 0,
-        "error": None,
-        "wall_time_s": round(time.perf_counter() - start, 4),
-        "candidates": report.candidate_count,
-        "evaluated": report.evaluated,
-        "failed": report.failed,
-        "frontier_size": len(report.frontier),
-        "scheduling_solves": report.scheduling_solves,
-        "strategy": spec.strategy,
-    }
-
-
-def _count_schedule_runs(result_payload: Any) -> int:
-    """Schedule-stage solves actually *executed* inside one result payload.
-
-    Counts the per-job stage rows with ``stage == "schedule"`` and
-    ``action == "ran"`` — replayed and shared rows are exactly the ones the
-    cache saved, so they do not count.
-    """
-    if not isinstance(result_payload, dict):
-        return 0
-    runs = 0
-    for job in result_payload.get("jobs") or []:
-        if _schedule_stage_wall(job) is not None:
-            runs += 1
-    return runs
-
-
-def run_replica_throughput() -> Dict[str, Any]:
-    """Two-replica throughput probe: overlapping sweeps over a shared cache.
-
-    Boots an in-process :class:`~repro.service.CacheDaemon` plus two
-    :class:`~repro.service.SynthesisService` replicas on ``--cache-backend
-    shared`` (all on ephemeral ports and daemon threads), submits one of the
-    two overlapping solver-free PCR pitch sweeps to each replica, waits for
-    both, and records the combined throughput in jobs/s.  The quantity the
-    record pins is ``scheduling_solves``: both sweeps agree on every
-    schedule-stage input, so cross-process single-flight must leave exactly
-    *one* schedule row marked ``ran`` across both result payloads — one
-    replica solved it, the daemon's claim protocol handed it to the other.
-    Any failure (daemon, replica, job, or count mismatch) is reported in the
-    record, never raised: telemetry must not crash the bench.
-    """
-    import asyncio
-    import threading
-
-    from repro.service import (
-        CacheDaemon,
-        CacheDaemonConfig,
-        ServiceClient,
-        ServiceConfig,
-        SynthesisService,
-    )
-
-    start = time.perf_counter()
-
-    def _failure(error: str) -> Dict[str, Any]:
-        return {
-            "ok": False,
-            "error": error,
-            "replicas": 2,
-            "wall_time_s": round(time.perf_counter() - start, 4),
-        }
-
-    daemon = CacheDaemon(CacheDaemonConfig(port=0))
-    daemon_thread = threading.Thread(
-        target=lambda: asyncio.run(daemon.serve_forever()),
-        name="bench-cache-daemon",
-        daemon=True,
-    )
-    daemon_thread.start()
-    services: List[Any] = []
-    try:
-        if not daemon.ready.wait(timeout=10.0):
-            return _failure("cache daemon did not become ready")
-        for index in range(2):
-            service = SynthesisService(
-                ServiceConfig(
-                    port=0,
-                    workers=2,
-                    cache_backend="shared",
-                    cache_addr=f"127.0.0.1:{daemon.bound_port}",
-                )
-            )
-            thread = threading.Thread(
-                target=lambda s=service: asyncio.run(s.serve_forever()),
-                name=f"bench-replica-{index}",
-                daemon=True,
-            )
-            thread.start()
-            services.append((service, thread))
-            if not service.ready.wait(timeout=10.0):
-                return _failure(f"replica {index} did not become ready")
-        clients = [ServiceClient(port=service.bound_port) for service, _ in services]
-        try:
-            job_ids = [
-                client.submit(
-                    {
-                        "assay": "PCR",
-                        "base": {"ilp_operation_limit": 0},
-                        "sweep": {"pitch": pitches},
-                    }
-                )
-                for client, pitches in zip(clients, REPLICA_SWEEP_PITCHES)
-            ]
-            statuses = [
-                client.wait(job_id, timeout=120.0)
-                for client, job_id in zip(clients, job_ids)
-            ]
-            wall_time_s = time.perf_counter() - start
-            for status in statuses:
-                if status.get("status") != "done":
-                    return _failure(
-                        f"replica job ended {status.get('status')}: {status.get('error')}"
-                    )
-            results = [
-                client.result(job_id) for client, job_id in zip(clients, job_ids)
-            ]
-        except Exception as exc:  # noqa: BLE001 - telemetry must not crash bench
-            return _failure(f"{type(exc).__name__}: {exc}")
-        jobs = sum(len(result.get("jobs") or []) for result in results)
-        solves = sum(_count_schedule_runs(result) for result in results)
-        expected_jobs = sum(len(pitches) for pitches in REPLICA_SWEEP_PITCHES)
-        ok = jobs == expected_jobs and solves == 1
-        return {
-            "ok": ok,
-            "error": None
-            if ok
-            else f"expected {expected_jobs} jobs / 1 scheduling solve, "
-            f"got {jobs} jobs / {solves} solves",
-            "replicas": 2,
-            "jobs": jobs,
-            "wall_time_s": round(wall_time_s, 4),
-            "jobs_per_s": round(jobs / wall_time_s, 2) if wall_time_s > 0 else None,
-            "scheduling_solves": solves,
-            "overlap_points": len(
-                set(REPLICA_SWEEP_PITCHES[0]) & set(REPLICA_SWEEP_PITCHES[1])
-            ),
-        }
-    finally:
-        for service, thread in services:
-            try:
-                ServiceClient(port=service.bound_port, timeout=5.0).shutdown()
-            except Exception:  # noqa: BLE001 - best-effort teardown
-                pass
-            thread.join(timeout=10.0)
-        daemon.request_shutdown_threadsafe()
-        daemon_thread.join(timeout=10.0)
 
 
 def run_verify_probe() -> Dict[str, Any]:
@@ -588,7 +190,7 @@ def run_verify_probe() -> Dict[str, Any]:
             elif fast_report.makespan_p50 < schedule.makespan:
                 ok = False
                 error = f"{name}: sampled median below the deterministic makespan"
-    except Exception as exc:  # noqa: BLE001 - telemetry must not crash bench
+    except Exception as exc:  # noqa: BLE001 - a probe reports, never raises
         return {
             "ok": False,
             "error": f"{type(exc).__name__}: {exc}",
@@ -600,13 +202,11 @@ def run_verify_probe() -> Dict[str, Any]:
     return record
 
 
-def run_obs_probe(
-    assays: List[str], time_limit_s: float, solver: Optional[str]
-) -> Dict[str, Any]:
-    """Instrumentation-overhead probe: benchmarked assays traced vs untraced.
+def run_obs_probe(assays: Sequence[str] = DEFAULT_ASSAYS) -> Dict[str, Any]:
+    """Instrumentation-overhead probe: the golden trio traced vs untraced.
 
-    Runs the benchmarked assays (the golden trio RA30 / IVD / PCR under
-    the defaults the CI assertion pins) cold through the batch engine in
+    Runs ``assays`` (by default the golden trio RA30 / IVD / PCR at their
+    paper defaults) cold through the batch engine in
     aggregated timed samples — one sample runs the whole assay list
     :data:`OBS_PROBE_REPS` times back to back — once per sample under an
     installed :class:`~repro.obs.TraceRecorder` (every span the flight
@@ -625,8 +225,8 @@ def run_obs_probe(
     cost — an additive term present even in the fastest sample — always
     does.  The record embeds each assay's per-stage span summaries (the
     same summaries ``--json`` outputs carry) and the aggregate
-    ``overhead_pct`` over the two minima — the number the CI bench job
-    asserts below :data:`OBS_PROBE_OVERHEAD_CEILING_PCT`.  A reading
+    ``overhead_pct`` over the two minima — the number :func:`run_bench`
+    requires below :data:`OBS_PROBE_OVERHEAD_CEILING_PCT`.  A reading
     above the ceiling is re-measured (up to :data:`OBS_PROBE_ATTEMPTS`
     attempts, every reading kept in ``attempt_overheads_pct``): the true
     cost sits ~8x below the ceiling, so an over-ceiling reading on a
@@ -641,7 +241,9 @@ def run_obs_probe(
     start = time.perf_counter()
 
     def _config(assay: str) -> FlowConfig:
-        config = _bench_config(assay, time_limit_s, solver)
+        # Paper defaults at the golden-regression time limits, solver-free.
+        config = FlowConfig.paper_defaults_for(assay)
+        config.ilp_time_limit_s = config.archsyn_time_limit_s = 20.0
         config.ilp_operation_limit = 0
         return config
 
@@ -738,7 +340,7 @@ def run_obs_probe(
         record["overhead_pct"] = attempts[-1]
         record["attempt_overheads_pct"] = attempts
         record["overhead_ceiling_pct"] = OBS_PROBE_OVERHEAD_CEILING_PCT
-    except Exception as exc:  # noqa: BLE001 - telemetry must not crash bench
+    except Exception as exc:  # noqa: BLE001 - a probe reports, never raises
         return {
             "ok": False,
             "error": f"{type(exc).__name__}: {exc}",
@@ -755,308 +357,56 @@ def run_obs_probe(
     return record
 
 
-def previous_bench_file(out: Path) -> Optional[Path]:
-    """The most recent earlier ``BENCH_*.json`` next to ``out``, if any.
-
-    "Earlier" means a lower sequence number than the output file's own, so
-    running the current bench never diffs against a *future* format.  An
-    output name that does not match ``BENCH_<n>.json`` has no position in
-    the sequence, so it gets no baseline at all (rather than guessing one
-    and possibly diffing against a newer format); files next to ``out``
-    that do not match the pattern are likewise ignored.
-    """
-    pattern = re.compile(r"BENCH_(\d+)\.json$")
-    own = pattern.fullmatch(out.name)
-    if own is None:
-        return None
-    found: List[Any] = []
-    for path in out.parent.glob("BENCH_*.json"):
-        if path.name == out.name:
-            continue
-        match = pattern.fullmatch(path.name)
-        if not match:
-            continue
-        sequence = int(match.group(1))
-        if sequence >= int(own.group(1)):
-            continue
-        found.append((sequence, path))
-    return max(found)[1] if found else None
-
-
-def _experiment_walls(payload: Dict[str, Any]) -> Optional[Dict[str, float]]:
-    """Assay → wall time of a payload, or ``None`` when malformed."""
-    experiments = payload.get("experiments")
-    if not isinstance(experiments, list) or not experiments:
-        return None
-    walls: Dict[str, float] = {}
-    for record in experiments:
-        if not isinstance(record, dict):
-            return None
-        assay, wall = record.get("assay"), record.get("wall_time_s")
-        if not isinstance(assay, str) or not isinstance(wall, (int, float)):
-            return None
-        walls[assay] = float(wall)
-    return walls
-
-
-def bench_delta(payload: Dict[str, Any], previous_path: Path) -> Optional[Dict[str, Any]]:
-    """Compare this run's payload against a previous ``BENCH_*.json``.
-
-    Returns ``{"against", "wall_time_s", "experiments": {assay: {...}}}``
-    with signed differences (new − old).  The headline ``wall_time_s`` sums
-    only the assays *present on both sides* — never ``totals.wall_time_s``
-    (its composition changed across formats: format 2 folds the explore
-    smoke in, format 1 had no smoke) and never a lopsided assay set (a
-    ``--assays RA30`` rerun next to a three-assay baseline must not book
-    the two missing assays as a 25-second improvement).  When both
-    payloads carry an explore record its wall time is diffed separately as
-    ``explore_wall_time_s``.  Per-assay rows additionally diff the
-    schedule-stage wall time when both sides executed the stage.  When the
-    payload carries a ``bb_probe`` record, ``bb_probe`` compares its
-    schedule-stage wall against the baseline — the previous file's own
-    probe, or (for a pre-format-3 previous file) its exact IVD schedule
-    stage — and reports the speedup factor.  When both payloads carry a
-    ``replica`` record with a numeric ``jobs_per_s`` (format 4+), the
-    throughputs are diffed as ``replica`` — a pre-format-4 baseline simply
-    gets no replica comparison.  ``None`` when the previous file is
-    unreadable (a broken old artifact must not fail the current bench).
-    """
-    try:
-        previous = json.loads(previous_path.read_text())
-        old_experiments = {
-            record["assay"]: record for record in previous.get("experiments", [])
-        }
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-    delta: Dict[str, Any] = {"against": previous_path.name, "experiments": {}}
-    new_walls = _experiment_walls(payload)
-    old_walls = _experiment_walls(previous)
-    if new_walls is not None and old_walls is not None:
-        common = sorted(set(new_walls) & set(old_walls))
-        if common:
-            delta["wall_time_s"] = round(
-                sum(new_walls[a] for a in common)
-                - sum(old_walls[a] for a in common),
-                4,
-            )
-    new_explore = payload.get("explore")
-    old_explore = previous.get("explore")
-    if (
-        isinstance(new_explore, dict)
-        and isinstance(old_explore, dict)
-        and isinstance(new_explore.get("wall_time_s"), (int, float))
-        and isinstance(old_explore.get("wall_time_s"), (int, float))
-    ):
-        delta["explore_wall_time_s"] = round(
-            new_explore["wall_time_s"] - old_explore["wall_time_s"], 4
+def gate_failures(verify: Dict[str, Any], obs: Dict[str, Any]) -> List[str]:
+    """Every gate the two probe records miss, as readable messages."""
+    failures: List[str] = []
+    if not verify.get("ok"):
+        failures.append(f"verify probe: {verify.get('error')}")
+    else:
+        floors = (
+            ("fault_free", VERIFY_PROBE_FAULT_FREE_FLOOR),
+            ("fault", VERIFY_PROBE_FAULT_FLOOR),
         )
-    for record in payload["experiments"]:
-        old = old_experiments.get(record["assay"])
-        if not isinstance(old, dict):
-            continue
-        row: Dict[str, Any] = {}
-        if isinstance(old.get("wall_time_s"), (int, float)):
-            row["wall_time_s"] = round(record["wall_time_s"] - old["wall_time_s"], 4)
-        if record.get("makespan") is not None and isinstance(
-            old.get("makespan"), (int, float)
-        ):
-            row["makespan"] = record["makespan"] - old["makespan"]
-        new_schedule = _schedule_stage_wall(record)
-        old_schedule = _schedule_stage_wall(old)
-        if new_schedule is not None and old_schedule is not None:
-            row["schedule_stage_s"] = round(new_schedule - old_schedule, 4)
-        if row:
-            delta["experiments"][record["assay"]] = row
-
-    probe = payload.get("bb_probe")
-    probe_wall = _schedule_stage_wall(probe)
-    baseline_wall = _schedule_stage_wall(previous.get("bb_probe"))
-    baseline_source = "bb_probe"
-    if baseline_wall is None:
-        # A pre-format-3 baseline has no probe; its exact IVD schedule
-        # stage (HiGHS under the default portfolio) is the stage wall the
-        # probe is meant to undercut, so it serves as the comparison point.
-        baseline_wall = _schedule_stage_wall(old_experiments.get("IVD"))
-        baseline_source = "IVD"
-    if probe_wall is not None and baseline_wall is not None and probe_wall > 0:
-        delta["bb_probe"] = {
-            "schedule_stage_s": probe_wall,
-            "baseline_schedule_stage_s": baseline_wall,
-            "baseline_source": baseline_source,
-            "speedup": round(baseline_wall / probe_wall, 2),
-            "makespan": probe.get("makespan"),
-        }
-
-    verify_probe = payload.get("verify_probe")
-    # The verify-throughput baseline is the scalar engine measured in the
-    # same run (same machine, same load), so the delta surfaces this run's
-    # own ratios rather than a cross-file wall-time diff.
-    if isinstance(verify_probe, dict) and verify_probe.get("ok"):
-        delta["verify_probe"] = {
-            "fault_free_speedup": verify_probe["fault_free"]["speedup"],
-            "fault_speedup": verify_probe["fault"]["speedup"],
-            "baseline_source": "in-run scalar engine",
-        }
-
-    obs_probe = payload.get("obs_probe")
-    # Like the verify probe, the overhead baseline is the untraced engine
-    # measured in the same run, so the delta surfaces this run's own
-    # aggregate rather than a cross-file wall-time diff.
-    if isinstance(obs_probe, dict) and obs_probe.get("ok"):
-        delta["obs_probe"] = {
-            "overhead_pct": obs_probe.get("overhead_pct"),
-            "baseline_source": "in-run untraced engine",
-        }
-
-    new_replica = payload.get("replica")
-    old_replica = previous.get("replica")
-    # A pre-format-4 baseline has no replica record: skip the comparison
-    # rather than inventing one (BENCH_6 and earlier simply carry no
-    # multi-replica data point).
-    if (
-        isinstance(new_replica, dict)
-        and isinstance(old_replica, dict)
-        and isinstance(new_replica.get("jobs_per_s"), (int, float))
-        and isinstance(old_replica.get("jobs_per_s"), (int, float))
-    ):
-        delta["replica"] = {
-            "jobs_per_s": round(
-                new_replica["jobs_per_s"] - old_replica["jobs_per_s"], 2
-            ),
-            "baseline_jobs_per_s": float(old_replica["jobs_per_s"]),
-        }
-    return delta
+        for name, floor in floors:
+            row = verify[name]
+            if row["report_identical"] is not True:
+                failures.append(f"verify {name}: reports not byte-identical")
+            if row["speedup"] < floor:
+                failures.append(
+                    f"verify {name}: speedup {row['speedup']}x under the {floor}x floor"
+                )
+    # ``ok`` already demands identical traced/untraced makespans.
+    if not obs.get("ok"):
+        failures.append(f"obs probe: {obs.get('error')}")
+    else:
+        overhead = obs["overhead_pct"]
+        if overhead is None or overhead >= OBS_PROBE_OVERHEAD_CEILING_PCT:
+            failures.append(
+                f"obs: overhead {overhead}% not under the "
+                f"{OBS_PROBE_OVERHEAD_CEILING_PCT}% ceiling"
+            )
+        for assay, row in obs["assays"].items():
+            missing = OBS_PROBE_STAGE_SPANS - {span["name"] for span in row["spans"]}
+            if missing:
+                failures.append(f"obs {assay}: no {sorted(missing)} spans")
+    return failures
 
 
 def run_bench(argv: List[str]) -> int:
     """The ``repro bench`` subcommand; returns a process exit code."""
-    parser = build_bench_parser()
-    args = parser.parse_args(argv)
-
-    experiments = [
-        run_experiment(assay, args.time_limit, args.solver) for assay in args.assays
-    ]
-    totals: Dict[str, int] = {}
-    for record in experiments:
-        for stage, count in record["solver_invocations"].items():
-            totals[stage] = totals.get(stage, 0) + count
-    explore_record = None if args.no_explore else run_explore_smoke()
-    bb_record = None if args.no_bb_probe else run_bb_probe(args.bb_time_limit)
-    replica_record = None if args.no_replica else run_replica_throughput()
-    verify_record = None if args.no_verify_probe else run_verify_probe()
-    obs_record = (
-        None
-        if args.no_obs_probe
-        else run_obs_probe(args.assays, args.time_limit, args.solver)
-    )
-    failed = sum(1 for r in experiments if not r["ok"])
-    if explore_record is not None and not explore_record["ok"]:
-        failed += 1
-    if bb_record is not None and not bb_record["ok"]:
-        failed += 1
-    if replica_record is not None and not replica_record["ok"]:
-        failed += 1
-    if verify_record is not None and not verify_record["ok"]:
-        failed += 1
-    if obs_record is not None and not obs_record["ok"]:
-        failed += 1
-    payload = {
-        "bench_format": BENCH_FORMAT,
-        "key_version": KEY_VERSION,
-        "solver": args.solver,  # None = each config's default (portfolio)
-        "time_limit_s": args.time_limit,
-        "experiments": experiments,
-        "explore": explore_record,
-        "bb_probe": bb_record,
-        "replica": replica_record,
-        "verify_probe": verify_record,
-        "obs_probe": obs_record,
-        "totals": {
-            "wall_time_s": round(
-                sum(r["wall_time_s"] for r in experiments)
-                + (explore_record["wall_time_s"] if explore_record else 0.0),
-                4,
-            ),
-            "solver_invocations": totals,
-            "failed": failed,
-        },
-    }
-    previous = previous_bench_file(args.out)
-    if previous is not None:
-        payload["delta"] = bench_delta(payload, previous)
-    args.out.write_text(json.dumps(payload, indent=2, sort_keys=True))
-
-    for record in experiments:
-        status = f"tE={record.get('makespan')}" if record["ok"] else f"FAILED: {record['error']}"
-        backends = {
-            s["stage"]: s["backend"] for s in record["stages"] if s["backend"] is not None
-        }
-        backend_note = f" backends={backends}" if backends else ""
-        print(f"{record['assay']:<8} {status} {record['wall_time_s']:.2f}s{backend_note}")
-    if explore_record is not None:
-        if explore_record["ok"]:
-            print(
-                f"explore  frontier={explore_record['frontier_size']} "
-                f"evaluated={explore_record['evaluated']}/{explore_record['candidates']} "
-                f"solves={explore_record['scheduling_solves']} "
-                f"{explore_record['wall_time_s']:.2f}s"
-            )
-        else:
-            print(f"explore  FAILED: {explore_record['error']}")
-    if bb_record is not None:
-        if bb_record["ok"]:
-            print(
-                f"bb-probe tE={bb_record.get('makespan')} "
-                f"budget={bb_record['time_limit_s']}s "
-                f"schedule={bb_record.get('schedule_stage_s', 0.0):.3f}s"
-            )
-        else:
-            print(f"bb-probe FAILED: {bb_record['error']}")
-    if replica_record is not None:
-        if replica_record["ok"]:
-            print(
-                f"replica  jobs/s={replica_record['jobs_per_s']} "
-                f"jobs={replica_record['jobs']} "
-                f"solves={replica_record['scheduling_solves']} "
-                f"{replica_record['wall_time_s']:.2f}s"
-            )
-        else:
-            print(f"replica  FAILED: {replica_record['error']}")
-    if verify_record is not None:
-        if verify_record["ok"]:
-            ff, fl = verify_record["fault_free"], verify_record["fault"]
-            print(
-                f"verify   fault-free={ff['trials_per_s']:.0f}/s "
-                f"({ff['speedup']}x) fault={fl['trials_per_s']:.0f}/s "
-                f"({fl['speedup']}x) {verify_record['wall_time_s']:.2f}s"
-            )
-        else:
-            print(f"verify   FAILED: {verify_record['error']}")
-    if obs_record is not None:
-        if obs_record["ok"]:
-            print(
-                f"obs      overhead={obs_record['overhead_pct']:+.2f}% "
-                f"(ceiling {obs_record['overhead_ceiling_pct']:.0f}%) "
-                f"{obs_record['wall_time_s']:.2f}s"
-            )
-        else:
-            print(f"obs      FAILED: {obs_record['error']}")
-    if payload.get("delta"):
-        total_delta = payload["delta"].get("wall_time_s")
-        note = (
-            f"{total_delta:+.2f}s experiments wall"
-            if total_delta is not None
-            else "n/a"
-        )
-        probe_delta = payload["delta"].get("bb_probe")
-        if probe_delta is not None:
-            note += f", bb-probe {probe_delta['speedup']}x vs {probe_delta['baseline_source']}"
-        replica_delta = payload["delta"].get("replica")
-        if replica_delta is not None:
-            note += f", replica {replica_delta['jobs_per_s']:+.2f} jobs/s"
-        print(f"delta vs {payload['delta']['against']}: {note}")
-    print(f"bench telemetry written to {args.out}")
-    if failed:
-        print(f"{failed} experiment(s) failed", file=sys.stderr)
-        return 1
-    return 0
+    argparse.ArgumentParser(
+        prog="repro bench",
+        description="Run the verify-throughput and instrumentation-overhead "
+        "probes and exit 1 if either misses its gate.  Performance is "
+        "measured by perfbench/.",
+    ).parse_args(argv)
+    verify = run_verify_probe()
+    obs = run_obs_probe()
+    failures = gate_failures(verify, obs)
+    print(json.dumps(
+        {"verify_probe": verify, "obs_probe": obs, "failures": failures},
+        sort_keys=True,
+    ))
+    for failure in failures:
+        print(f"bench gate failed: {failure}", file=sys.stderr)
+    return 1 if failures else 0

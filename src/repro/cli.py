@@ -64,13 +64,12 @@ fault-recovery rate instead of a single deterministic number::
     python -m repro simulate --assay PCR --trials 64 --jitter uniform \
         --fault-rate 0.05
 
-Bench mode runs the small benchmark fixtures cold, times an exploration
-smoke plus a two-replica shared-cache throughput probe, and writes
-machine-readable telemetry — per-experiment wall time, solver invocations,
-the solver backend each exact stage ran on, and a delta against the
-previous recorded ``BENCH_*.json`` — to ``BENCH_7.json``::
+Bench mode runs the two in-run performance gates — vectorized vs scalar
+Monte-Carlo throughput and traced vs untraced instrumentation overhead —
+prints their records as one JSON line, and exits 1 if either misses its
+gate (performance itself is measured by ``perfbench/``)::
 
-    python -m repro bench --out BENCH_7.json
+    python -m repro bench
 
 Every job-running mode accepts ``--solver`` to force both ILPs onto one
 registered solver backend (``highs``, ``branch-and-bound``, or the default

@@ -291,9 +291,9 @@ def apply_solver_override(config: FlowConfig, solver: Optional[str]) -> FlowConf
     """A copy of ``config`` with both ILP backend fields forced to ``solver``.
 
     The one definition of the ``--solver`` override semantics, shared by the
-    CLI (single/batch/sweep modes), ``repro bench``, and the synthesis
-    service's server-side rewrite.  ``None`` returns the config unchanged;
-    an unknown backend name fails ``FlowConfig`` validation immediately.
+    CLI (single/batch/sweep modes) and the synthesis service's server-side
+    rewrite.  ``None`` returns the config unchanged; an unknown backend name
+    fails ``FlowConfig`` validation immediately.
     """
     if solver is None:
         return config

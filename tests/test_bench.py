@@ -1,475 +1,108 @@
-"""Tests of the ``repro bench`` telemetry subcommand and the ``--solver``
-CLI override."""
+"""Tests of the ``repro bench`` gates.
+
+The probes themselves time real work, so they stay out of this suite: the
+gate tests replace each probe with a canned record and check the exit
+status, and the overhead probe's makespan check runs against a fake engine.
+"""
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import pytest
 
+from repro import bench
 from repro.cli import main
 
 
-class TestBenchCommand:
-    def test_bench_writes_machine_readable_telemetry(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_5.json"
-        exit_code = main(["bench", "--out", str(out), "--assays", "PCR", "IVD",
-                          "--time-limit", "20", "--no-replica", "--no-obs-probe"])
+def passing_verify_record():
+    row = {"report_identical": True, "speedup": 12.0}
+    return {"ok": True, "error": None, "fault_free": dict(row),
+            "fault": dict(row, speedup=3.5)}
+
+
+def passing_obs_record():
+    spans = [{"name": name} for name in sorted(bench.OBS_PROBE_STAGE_SPANS)]
+    return {
+        "ok": True,
+        "error": None,
+        "overhead_pct": 1.5,
+        "assays": {assay: {"makespan": 1, "spans": list(spans)}
+                   for assay in bench.DEFAULT_ASSAYS},
+    }
+
+
+def _slow_fault_free(verify, obs):
+    verify["fault_free"]["speedup"] = bench.VERIFY_PROBE_FAULT_FREE_FLOOR - 0.1
+
+
+def _slow_fault(verify, obs):
+    verify["fault"]["speedup"] = bench.VERIFY_PROBE_FAULT_FLOOR - 0.1
+
+
+def _changed_report(verify, obs):
+    verify["fault"]["report_identical"] = False
+
+
+def _verify_failed(verify, obs):
+    verify.clear()
+    verify.update(ok=False, error="RuntimeError: boom")
+
+
+def _over_ceiling(verify, obs):
+    obs["overhead_pct"] = bench.OBS_PROBE_OVERHEAD_CEILING_PCT
+
+
+def _missing_stage_span(verify, obs):
+    obs["assays"]["IVD"]["spans"] = [{"name": "stage:schedule"}]
+
+
+def _makespans_diverged(verify, obs):
+    obs.update(ok=False, error="traced makespans {'RA30': 651} != untraced")
+
+
+class TestGates:
+    @pytest.fixture
+    def run(self, monkeypatch, capsys):
+        def _run(breakage=None):
+            verify, obs = passing_verify_record(), passing_obs_record()
+            if breakage is not None:
+                breakage(verify, obs)
+            monkeypatch.setattr(bench, "run_verify_probe", lambda: verify)
+            monkeypatch.setattr(bench, "run_obs_probe", lambda: obs)
+            exit_code = main(["bench"])
+            captured = capsys.readouterr()
+            return exit_code, json.loads(captured.out), captured.err
+
+        return _run
+
+    def test_passing_probes_exit_zero(self, run):
+        exit_code, payload, err = run()
         assert exit_code == 0
-        payload = json.loads(out.read_text())
-        assert payload["bench_format"] == 6
-        assert payload["key_version"] >= 3
-        assert payload["solver"] is None  # default: each config's portfolio
-        assays = [record["assay"] for record in payload["experiments"]]
-        assert assays == ["PCR", "IVD"]
-        for record in payload["experiments"]:
-            assert record["ok"], record
-            assert record["makespan"] > 0
-            assert record["wall_time_s"] > 0
-            # Cold runs: every stage solved exactly once per experiment.
-            assert record["solver_invocations"] == {
-                "schedule": 1, "archsyn": 1, "physical": 1,
-            }
-            by_stage = {row["stage"]: row for row in record["stages"]}
-            assert set(by_stage) == {"schedule", "archsyn", "physical"}
-            # PCR/IVD are small enough for the exact scheduler, so the
-            # schedule stage reports the backend that solved its ILP.
-            assert record["scheduler_engine"] == "ilp"
-            assert by_stage["schedule"]["backend"] in ("highs", "branch-and-bound")
-            assert "warm_start_used" in by_stage["schedule"]
-            assert record["schedule_stage_s"] == by_stage["schedule"]["wall_time_s"]
-        totals = payload["totals"]
-        assert totals["failed"] == 0
-        assert totals["solver_invocations"]["schedule"] == 2
-        explore = payload["explore"]
-        assert explore["ok"]
-        assert explore["frontier_size"] >= 1
-        assert explore["scheduling_solves"] < explore["evaluated"]
-        assert payload["replica"] is None  # --no-replica
-        assert payload.get("delta") is None  # no previous BENCH_*.json here
-        captured = capsys.readouterr()
-        assert "bench telemetry written" in captured.out
-        assert "explore " in captured.out
+        assert payload["failures"] == [] and err == ""
+        assert payload["verify_probe"]["ok"] and payload["obs_probe"]["ok"]
 
-    def test_explore_smoke_partial_failures_are_not_ok(self, monkeypatch):
-        """Any failed smoke candidate means breakage: ok must be strict."""
-        from types import SimpleNamespace
+    @pytest.mark.parametrize("breakage", [
+        _slow_fault_free, _slow_fault, _changed_report, _verify_failed,
+        _over_ceiling, _missing_stage_span, _makespans_diverged,
+    ])
+    def test_a_reading_past_its_gate_exits_one(self, run, breakage):
+        exit_code, payload, err = run(breakage)
+        assert exit_code == 1
+        assert len(payload["failures"]) == 1
+        assert "bench gate failed" in err
 
-        from repro import bench
-
-        fake_report = SimpleNamespace(
-            failed=1, evaluated=8, candidate_count=8, frontier=[],
-            scheduling_solves=2,
-        )
-
-        class FakeEngine:
-            def __init__(self, *args, **kwargs):
-                pass
-
-            def run(self):
-                return fake_report
-
-        import repro.explore
-
-        monkeypatch.setattr(repro.explore, "ExplorationEngine", FakeEngine)
-        record = bench.run_explore_smoke()
-        assert record["ok"] is False
-        assert record["failed"] == 1
-
-    def test_no_explore_flag_skips_the_smoke(self, tmp_path):
-        out = tmp_path / "BENCH_5.json"
-        exit_code = main(["bench", "--out", str(out), "--assays", "RA30",
-                          "--no-explore", "--no-replica", "--no-obs-probe"])
-        assert exit_code == 0
-        payload = json.loads(out.read_text())
-        assert payload["explore"] is None
-
-    def test_delta_against_previous_bench_file(self, tmp_path, capsys):
-        previous = {
-            "experiments": [
-                {"assay": "RA30", "wall_time_s": 100.0, "makespan": 700}
-            ],
-            "totals": {"wall_time_s": 100.0},
-        }
-        (tmp_path / "BENCH_4.json").write_text(json.dumps(previous))
-        out = tmp_path / "BENCH_5.json"
-        exit_code = main(["bench", "--out", str(out), "--assays", "RA30",
-                          "--no-explore", "--no-replica", "--no-obs-probe"])
-        assert exit_code == 0
-        delta = json.loads(out.read_text())["delta"]
-        assert delta["against"] == "BENCH_4.json"
-        assert delta["wall_time_s"] < 0  # RA30 is far faster than 100 s
-        assert delta["experiments"]["RA30"]["makespan"] == 650 - 700
-        assert "delta vs BENCH_4.json" in capsys.readouterr().out
-
-    def test_delta_against_format1_file_excludes_the_explore_smoke(self, tmp_path):
-        """The headline wall delta compares per-assay sums on both sides, so
-        a format-1 previous file (no explore smoke in its totals) is not
-        booked the smoke's duration as a regression."""
-        previous = {
-            "bench_format": 1,
-            "experiments": [
-                {"assay": "RA30", "wall_time_s": 100.0, "makespan": 650}
-            ],
-            "totals": {"wall_time_s": 100.0},
-        }
-        (tmp_path / "BENCH_4.json").write_text(json.dumps(previous))
-        out = tmp_path / "BENCH_5.json"
-        assert main(["bench", "--out", str(out), "--assays", "RA30",
-                     "--no-replica", "--no-obs-probe"]) == 0
-        payload = json.loads(out.read_text())
-        assert payload["explore"]["ok"]  # smoke ran and is in totals...
-        delta = payload["delta"]
-        ra30_wall = payload["experiments"][0]["wall_time_s"]
-        # ...but the delta is exactly experiments-vs-experiments.
-        assert delta["wall_time_s"] == round(ra30_wall - 100.0, 4)
-        assert "explore_wall_time_s" not in delta  # old side has no smoke
-
-    def test_delta_wall_sums_only_assays_on_both_sides(self, tmp_path):
-        """A --assays subset rerun must not book the missing assays as a
-        spurious improvement against a fuller baseline."""
-        previous = {
-            "experiments": [
-                {"assay": "RA30", "wall_time_s": 100.0, "makespan": 650},
-                {"assay": "IVD", "wall_time_s": 25.0, "makespan": 280},
-            ],
-            "totals": {"wall_time_s": 125.0},
-        }
-        (tmp_path / "BENCH_4.json").write_text(json.dumps(previous))
-        out = tmp_path / "BENCH_5.json"
-        assert main(["bench", "--out", str(out), "--assays", "RA30",
-                     "--no-explore", "--no-replica", "--no-obs-probe"]) == 0
-        payload = json.loads(out.read_text())
-        ra30_wall = payload["experiments"][0]["wall_time_s"]
-        # Only RA30 is common: the headline excludes IVD's 25 s entirely.
-        assert payload["delta"]["wall_time_s"] == round(ra30_wall - 100.0, 4)
-        assert "IVD" not in payload["delta"]["experiments"]
-
-    def test_delta_diffs_the_explore_smoke_when_both_sides_have_one(self, tmp_path):
-        previous = {
-            "bench_format": 2,
-            "experiments": [
-                {"assay": "RA30", "wall_time_s": 100.0, "makespan": 650}
-            ],
-            "explore": {"wall_time_s": 50.0},
-            "totals": {"wall_time_s": 150.0},
-        }
-        (tmp_path / "BENCH_4.json").write_text(json.dumps(previous))
-        out = tmp_path / "BENCH_5.json"
-        assert main(["bench", "--out", str(out), "--assays", "RA30",
-                     "--no-replica", "--no-obs-probe"]) == 0
-        delta = json.loads(out.read_text())["delta"]
-        assert delta["explore_wall_time_s"] < 0  # the smoke is far under 50 s
-
-    def test_delta_ignores_future_and_malformed_files(self, tmp_path):
-        (tmp_path / "BENCH_9.json").write_text("{}")       # future: skipped
-        (tmp_path / "BENCH_abc.json").write_text("nope")   # non-matching name
-        out = tmp_path / "BENCH_5.json"
-        exit_code = main(["bench", "--out", str(out), "--assays", "RA30",
-                          "--no-explore", "--no-replica", "--no-obs-probe"])
-        assert exit_code == 0
-        assert json.loads(out.read_text()).get("delta") is None
-
-    def test_custom_out_name_gets_no_baseline(self, tmp_path):
-        # A non-sequence output name has no position in the trajectory, so
-        # no baseline is guessed — BENCH_9.json here could be a *newer*
-        # format and must not become the comparison point.
-        (tmp_path / "BENCH_9.json").write_text(json.dumps({
-            "experiments": [{"assay": "RA30", "wall_time_s": 1.0}],
-            "totals": {"wall_time_s": 1.0},
-        }))
-        out = tmp_path / "custom.json"
-        exit_code = main(["bench", "--out", str(out), "--assays", "RA30",
-                          "--no-explore", "--no-replica", "--no-obs-probe"])
-        assert exit_code == 0
-        assert "delta" not in json.loads(out.read_text())
-
-    def test_broken_previous_file_yields_null_delta(self, tmp_path):
-        (tmp_path / "BENCH_4.json").write_text("{not json")
-        out = tmp_path / "BENCH_5.json"
-        exit_code = main(["bench", "--out", str(out), "--assays", "RA30",
-                          "--no-explore", "--no-replica", "--no-obs-probe"])
-        assert exit_code == 0
-        payload = json.loads(out.read_text())
-        assert "delta" in payload and payload["delta"] is None
-
-    def test_bench_solver_override_is_recorded(self, tmp_path):
-        out = tmp_path / "bench.json"
-        # The list scheduler keeps this solver-free; the override must still
-        # be recorded in the payload for trajectory comparisons.
-        exit_code = main([
-            "bench", "--out", str(out), "--assays", "RA30",
-            "--solver", "branch-and-bound", "--no-replica", "--no-obs-probe",
-        ])
-        assert exit_code == 0
-        payload = json.loads(out.read_text())
-        assert payload["solver"] == "branch-and-bound"
-        assert payload["experiments"][0]["scheduler_engine"] == "list"
-
-    def test_bench_rejects_unknown_assay(self, tmp_path):
+    def test_bench_takes_no_options(self):
         with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "--out", str(tmp_path / "x.json"), "--assays", "NOPE"])
+            main(["bench", "--out", "BENCH.json"])
         assert excinfo.value.code == 2
 
 
-class TestBranchAndBoundProbe:
-    """The anytime B&B probe: optimal quality under a tiny budget."""
-
-    def test_probe_delivers_optimal_makespan_within_budget(self, tmp_path):
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--out", str(out), "--assays", "RA30",
-                     "--no-explore", "--no-replica", "--no-obs-probe"]) == 0
-        probe = json.loads(out.read_text())["bb_probe"]
-        assert probe["ok"], probe
-        assert probe["assay"] == "IVD"
-        assert probe["solver"] == "branch-and-bound"
-        # The whole point of the warm start: the paper-optimal makespan is
-        # the probe's incumbent from node one, so a 0.1 s budget returns it.
-        assert probe["makespan"] == 280
-        schedule_row = next(
-            row for row in probe["stages"] if row["stage"] == "schedule"
-        )
-        assert schedule_row["backend"] == "branch-and-bound"
-        assert schedule_row["warm_start_used"] is True
-        # The stage obeys its budget (generous slack for model build).
-        assert probe["schedule_stage_s"] < 1.0
-
-    def test_no_bb_probe_flag_skips_it(self, tmp_path):
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--out", str(out), "--assays", "RA30",
-                     "--no-explore", "--no-replica", "--no-bb-probe",
-                     "--no-obs-probe"]) == 0
-        assert json.loads(out.read_text())["bb_probe"] is None
-
-    def test_delta_reports_probe_speedup_against_previous_ivd(self, tmp_path):
-        previous = {
-            "bench_format": 2,
-            "experiments": [
-                {
-                    "assay": "IVD", "wall_time_s": 0.8, "makespan": 280,
-                    "stages": [
-                        {"stage": "schedule", "action": "ran",
-                         "wall_time_s": 0.8, "backend": "highs"},
-                    ],
-                },
-            ],
-            "totals": {"wall_time_s": 0.8},
-        }
-        (tmp_path / "BENCH_5.json").write_text(json.dumps(previous))
-        out = tmp_path / "BENCH_6.json"
-        assert main(["bench", "--out", str(out), "--assays", "RA30",
-                     "--no-explore", "--no-replica", "--no-obs-probe"]) == 0
-        delta = json.loads(out.read_text())["delta"]
-        probe = delta["bb_probe"]
-        assert probe["baseline_source"] == "IVD"
-        assert probe["baseline_schedule_stage_s"] == 0.8
-        assert probe["makespan"] == 280
-        assert probe["speedup"] == round(0.8 / probe["schedule_stage_s"], 2)
-
-    def test_delta_prefers_the_previous_files_own_probe(self, tmp_path):
-        previous = {
-            "bench_format": 3,
-            "experiments": [
-                {"assay": "RA30", "wall_time_s": 0.1, "makespan": 650},
-            ],
-            "bb_probe": {
-                "assay": "IVD", "makespan": 280,
-                "stages": [
-                    {"stage": "schedule", "action": "ran", "wall_time_s": 0.2},
-                ],
-            },
-            "totals": {"wall_time_s": 0.1},
-        }
-        (tmp_path / "BENCH_5.json").write_text(json.dumps(previous))
-        out = tmp_path / "BENCH_6.json"
-        assert main(["bench", "--out", str(out), "--assays", "RA30",
-                     "--no-explore", "--no-replica", "--no-obs-probe"]) == 0
-        probe = json.loads(out.read_text())["delta"]["bb_probe"]
-        assert probe["baseline_source"] == "bb_probe"
-        assert probe["baseline_schedule_stage_s"] == 0.2
-
-
-class TestReplicaProbe:
-    """The two-replica shared-cache throughput probe (format 4)."""
-
-    def test_probe_shares_the_one_scheduling_solve(self):
-        from repro.bench import REPLICA_SWEEP_PITCHES, run_replica_throughput
-
-        record = run_replica_throughput()
-        assert record["ok"], record
-        assert record["replicas"] == 2
-        assert record["jobs"] == sum(len(p) for p in REPLICA_SWEEP_PITCHES)
-        # The exactly-once guarantee across processes: both sweeps agree on
-        # every schedule-stage input, so the pair performs one solve total.
-        assert record["scheduling_solves"] == 1
-        assert record["jobs_per_s"] > 0
-        assert record["overlap_points"] == 3
-
-    def test_count_schedule_runs_counts_only_ran_rows(self):
-        from repro.bench import _count_schedule_runs
-
-        payload = {
-            "jobs": [
-                {"stages": [{"stage": "schedule", "action": "ran",
-                             "wall_time_s": 0.1}]},
-                {"stages": [{"stage": "schedule", "action": "shared",
-                             "wall_time_s": 0.0}]},
-                {"stages": [{"stage": "schedule", "action": "replayed",
-                             "wall_time_s": 0.0}]},
-                {"stages": [{"stage": "physical", "action": "ran",
-                             "wall_time_s": 0.2}]},
-            ]
-        }
-        assert _count_schedule_runs(payload) == 1
-        assert _count_schedule_runs(None) == 0
-        assert _count_schedule_runs({}) == 0
-
-    def test_delta_diffs_replica_throughput_when_both_sides_have_one(self, tmp_path):
-        import json as _json
-
-        from repro.bench import bench_delta
-
-        previous_path = tmp_path / "BENCH_6.json"
-        previous_path.write_text(_json.dumps({
-            "bench_format": 4,
-            "experiments": [{"assay": "RA30", "wall_time_s": 1.0}],
-            "replica": {"ok": True, "jobs_per_s": 40.0},
-        }))
-        payload = {
-            "experiments": [{"assay": "RA30", "wall_time_s": 0.5}],
-            "replica": {"ok": True, "jobs_per_s": 100.0},
-        }
-        delta = bench_delta(payload, previous_path)
-        assert delta["replica"] == {"jobs_per_s": 60.0, "baseline_jobs_per_s": 40.0}
-
-    def test_delta_skips_replica_against_pre_format4_baseline(self, tmp_path):
-        import json as _json
-
-        from repro.bench import bench_delta
-
-        previous_path = tmp_path / "BENCH_6.json"
-        previous_path.write_text(_json.dumps({
-            "bench_format": 3,
-            "experiments": [{"assay": "RA30", "wall_time_s": 1.0}],
-        }))
-        payload = {
-            "experiments": [{"assay": "RA30", "wall_time_s": 0.5}],
-            "replica": {"ok": True, "jobs_per_s": 100.0},
-        }
-        delta = bench_delta(payload, previous_path)
-        assert "replica" not in delta
-
-
-class TestVerifyProbe:
-    """The verify-throughput probe (format 5: vectorized vs scalar)."""
-
-    @pytest.fixture(scope="class")
-    def record(self):
-        from repro.bench import run_verify_probe
-
-        return run_verify_probe()
-
-    def test_probe_times_both_fast_paths_against_the_scalar_engine(self, record):
-        from repro.bench import (
-            VERIFY_PROBE_FAULT_FREE_TRIALS,
-            VERIFY_PROBE_FAULT_TRIALS,
-        )
-
-        assert record["ok"], record
-        assert record["fault_free"]["trials"] == VERIFY_PROBE_FAULT_FREE_TRIALS
-        assert record["fault"]["trials"] == VERIFY_PROBE_FAULT_TRIALS
-        for name in ("fault_free", "fault"):
-            row = record[name]
-            assert row["trials_per_s"] > 0
-            assert row["scalar_trials_per_s"] > 0
-            assert row["speedup"] > 0
-
-    def test_probe_pins_fast_reports_byte_identical_to_scalar(self, record):
-        # The probe's own cross-check: speedups only count when the fast
-        # engines reproduce the scalar report exactly.
-        assert record["fault_free"]["report_identical"] is True
-        assert record["fault"]["report_identical"] is True
-
-    def test_probe_distributions_stay_ordered(self, record):
-        for name in ("fault_free", "fault"):
-            row = record[name]
-            assert row["makespan_p50"] >= record["deterministic_makespan"]
-            assert row["makespan_p99"] >= row["makespan_p50"]
-            assert 0.0 <= row["recovery_rate"] <= 1.0
-        # Fault-free trials always finish; the fault rows inject real
-        # failures so recovery can dip below 1.
-        assert record["fault_free"]["recovery_rate"] == 1.0
-
-    def test_no_verify_probe_flag_skips_it(self, tmp_path):
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--out", str(out), "--assays", "RA30",
-                     "--no-explore", "--no-replica", "--no-bb-probe",
-                     "--no-verify-probe", "--no-obs-probe"]) == 0
-        assert json.loads(out.read_text())["verify_probe"] is None
-
-    def test_probe_record_lands_in_the_payload(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--out", str(out), "--assays", "RA30",
-                     "--no-explore", "--no-replica", "--no-bb-probe",
-                     "--no-obs-probe"]) == 0
-        payload = json.loads(out.read_text())
-        assert payload["verify_probe"]["ok"], payload["verify_probe"]
-        assert "verify   fault-free=" in capsys.readouterr().out
-
-
 class TestObsProbe:
-    """The instrumentation-overhead probe (format 6: traced vs untraced)."""
-
-    def test_probe_measures_overhead_and_embeds_spans(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--out", str(out), "--assays", "RA30",
-                     "--no-explore", "--no-replica", "--no-bb-probe",
-                     "--no-verify-probe"]) == 0
-        probe = json.loads(out.read_text())["obs_probe"]
-        assert probe["ok"], probe
-        row = probe["assays"]["RA30"]
-        # Solver-free runs still synthesize a real schedule...
-        assert row["makespan"] > 0
-        # ...and the traced runs' span summaries ride along — at least
-        # the three pipeline stages must have produced spans.
-        stages = {s["name"] for s in row["spans"]}
-        assert {"stage:schedule", "stage:archsyn", "stage:physical"} <= stages
-        assert probe["solver_free"] is True
-        assert probe["traced_best_s"] > 0 and probe["untraced_best_s"] > 0
-        assert isinstance(probe["overhead_pct"], float)
-        from repro.bench import OBS_PROBE_OVERHEAD_CEILING_PCT
-
-        assert probe["overhead_ceiling_pct"] == OBS_PROBE_OVERHEAD_CEILING_PCT
-        assert "obs      overhead=" in capsys.readouterr().out
-
-    def test_probe_reports_in_run_baseline_in_the_delta(self, tmp_path):
-        previous = {
-            "experiments": [
-                {"assay": "RA30", "wall_time_s": 100.0, "makespan": 650}
-            ],
-            "totals": {"wall_time_s": 100.0},
-        }
-        (tmp_path / "BENCH_4.json").write_text(json.dumps(previous))
-        out = tmp_path / "BENCH_5.json"
-        assert main(["bench", "--out", str(out), "--assays", "RA30",
-                     "--no-explore", "--no-replica", "--no-bb-probe",
-                     "--no-verify-probe"]) == 0
-        delta = json.loads(out.read_text())["delta"]
-        assert delta["obs_probe"]["baseline_source"] == "in-run untraced engine"
-
-    def test_no_obs_probe_flag_skips_it(self, tmp_path):
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--out", str(out), "--assays", "RA30",
-                     "--no-explore", "--no-replica", "--no-bb-probe",
-                     "--no-verify-probe", "--no-obs-probe"]) == 0
-        assert json.loads(out.read_text())["obs_probe"] is None
-
     def test_probe_is_not_ok_when_makespans_diverge(self, monkeypatch):
         """Instrumentation changing a result must fail the probe."""
         from types import SimpleNamespace
 
-        from repro import bench
         from repro.obs.trace import recorder
 
         def fake_run(self, jobs):
@@ -485,283 +118,6 @@ class TestObsProbe:
             return SimpleNamespace(outcomes=[outcome])
 
         monkeypatch.setattr(bench.BatchSynthesisEngine, "run", fake_run)
-        record = bench.run_obs_probe(["RA30"], 20.0, None)
+        record = bench.run_obs_probe(["RA30"])
         assert record["ok"] is False
         assert "651" in record["error"]
-
-
-class TestCommittedTrajectory:
-    """CI guard over the checked-in BENCH_6.json against BENCH_5.json.
-
-    The committed file is the trajectory's recorded data point: these
-    assertions fail the build if someone regenerates it with a schedule-
-    stage regression, a lost probe speedup, or drifted makespans — without
-    re-running the (machine-sensitive) solves in CI.
-    """
-
-    @pytest.fixture(scope="class")
-    def bench6(self):
-        path = Path(__file__).resolve().parent.parent / "BENCH_6.json"
-        assert path.exists(), "BENCH_6.json must be committed at the repo root"
-        return json.loads(path.read_text())
-
-    def test_format_and_baseline(self, bench6):
-        assert bench6["bench_format"] == 3
-        assert bench6["delta"]["against"] == "BENCH_5.json"
-
-    def test_paper_makespans_unchanged(self, bench6):
-        makespans = {r["assay"]: r["makespan"] for r in bench6["experiments"]}
-        assert makespans == {"RA30": 650, "IVD": 280, "PCR": 330}
-
-    def test_bb_probe_speedup_at_least_5x(self, bench6):
-        probe = bench6["delta"]["bb_probe"]
-        # The acceptance number: the warm-started branch-and-bound backend
-        # delivers IVD's optimal schedule in at most a fifth of BENCH_5's
-        # exact schedule-stage wall time.
-        assert probe["speedup"] >= 5.0, probe
-        assert probe["makespan"] == 280
-        assert bench6["bb_probe"]["ok"]
-
-    def test_probe_solve_was_warm_started(self, bench6):
-        schedule_row = next(
-            row for row in bench6["bb_probe"]["stages"]
-            if row["stage"] == "schedule"
-        )
-        assert schedule_row["warm_start_used"] is True
-        assert schedule_row["backend"] == "branch-and-bound"
-
-    def test_schedule_stage_has_no_real_regression(self, bench6):
-        # Signed new−old per assay.  Exact-solver wall times move with
-        # machine load (the same seed code re-timed on the recording host
-        # varied by ±0.2 s), so the guard is a noise-tolerant ceiling, not
-        # equality: a genuine regression (e.g. accidentally routing the
-        # default portfolio through the B&B proof tree) is seconds, not
-        # fractions.
-        for assay, row in bench6["delta"]["experiments"].items():
-            drift = row.get("schedule_stage_s")
-            if drift is not None:
-                assert drift <= 0.3, (assay, row)
-
-
-class TestCommittedTrajectory7:
-    """CI guard over the checked-in BENCH_7.json against BENCH_6.json.
-
-    The next recorded trajectory point: format 4's two-replica throughput
-    record joins the makespan and probe pins.  The bb-probe speedup here is
-    probe-vs-probe (both files carry one), so unlike the BENCH_6 guard no
-    5x floor applies — the floor lives in the BENCH_6-vs-BENCH_5 guard and
-    the replica record is this file's new acceptance quantity.
-    """
-
-    @pytest.fixture(scope="class")
-    def bench7(self):
-        path = Path(__file__).resolve().parent.parent / "BENCH_7.json"
-        assert path.exists(), "BENCH_7.json must be committed at the repo root"
-        return json.loads(path.read_text())
-
-    def test_format_and_baseline(self, bench7):
-        assert bench7["bench_format"] == 4
-        assert bench7["delta"]["against"] == "BENCH_6.json"
-
-    def test_paper_makespans_unchanged(self, bench7):
-        makespans = {r["assay"]: r["makespan"] for r in bench7["experiments"]}
-        assert makespans == {"RA30": 650, "IVD": 280, "PCR": 330}
-
-    def test_probe_still_delivers_optimal_quality(self, bench7):
-        probe = bench7["bb_probe"]
-        assert probe["ok"], probe
-        assert probe["makespan"] == 280
-        schedule_row = next(
-            row for row in probe["stages"] if row["stage"] == "schedule"
-        )
-        assert schedule_row["warm_start_used"] is True
-        assert schedule_row["backend"] == "branch-and-bound"
-
-    def test_replica_record_pins_exactly_one_scheduling_solve(self, bench7):
-        replica = bench7["replica"]
-        assert replica["ok"], replica
-        assert replica["replicas"] == 2
-        assert replica["jobs"] == 12
-        assert replica["scheduling_solves"] == 1
-        assert replica["jobs_per_s"] > 0
-
-    def test_schedule_stage_has_no_real_regression(self, bench7):
-        for assay, row in bench7["delta"]["experiments"].items():
-            drift = row.get("schedule_stage_s")
-            if drift is not None:
-                assert drift <= 0.3, (assay, row)
-
-
-class TestCommittedTrajectory8:
-    """CI guard over the checked-in BENCH_8.json against BENCH_7.json.
-
-    Format 5's acceptance quantity is the verify-throughput probe: the
-    vectorized fault-free path must beat the scalar engine by at least
-    10x and the masked fault path by at least 3x, with both fast reports
-    byte-identical to the scalar one.  The makespan and bb-probe pins
-    carry over from the earlier trajectory guards.
-    """
-
-    @pytest.fixture(scope="class")
-    def bench8(self):
-        path = Path(__file__).resolve().parent.parent / "BENCH_8.json"
-        assert path.exists(), "BENCH_8.json must be committed at the repo root"
-        return json.loads(path.read_text())
-
-    def test_format_and_baseline(self, bench8):
-        assert bench8["bench_format"] == 5
-        assert bench8["delta"]["against"] == "BENCH_7.json"
-
-    def test_paper_makespans_unchanged(self, bench8):
-        makespans = {r["assay"]: r["makespan"] for r in bench8["experiments"]}
-        assert makespans == {"RA30": 650, "IVD": 280, "PCR": 330}
-
-    def test_verify_probe_clears_the_speedup_floors(self, bench8):
-        from repro.bench import (
-            VERIFY_PROBE_FAULT_FLOOR,
-            VERIFY_PROBE_FAULT_FREE_FLOOR,
-        )
-
-        probe = bench8["verify_probe"]
-        assert probe["ok"], probe
-        assert probe["fault_free"]["speedup"] >= VERIFY_PROBE_FAULT_FREE_FLOOR
-        assert probe["fault"]["speedup"] >= VERIFY_PROBE_FAULT_FLOOR
-        delta = bench8["delta"]["verify_probe"]
-        assert delta["fault_free_speedup"] == probe["fault_free"]["speedup"]
-        assert delta["fault_speedup"] == probe["fault"]["speedup"]
-        assert delta["baseline_source"] == "in-run scalar engine"
-
-    def test_verify_probe_reports_were_byte_identical(self, bench8):
-        probe = bench8["verify_probe"]
-        assert probe["fault_free"]["report_identical"] is True
-        assert probe["fault"]["report_identical"] is True
-
-    def test_probe_still_delivers_optimal_quality(self, bench8):
-        probe = bench8["bb_probe"]
-        assert probe["ok"], probe
-        assert probe["makespan"] == 280
-        schedule_row = next(
-            row for row in probe["stages"] if row["stage"] == "schedule"
-        )
-        assert schedule_row["warm_start_used"] is True
-        assert schedule_row["backend"] == "branch-and-bound"
-
-    def test_schedule_stage_has_no_real_regression(self, bench8):
-        for assay, row in bench8["delta"]["experiments"].items():
-            drift = row.get("schedule_stage_s")
-            if drift is not None:
-                assert drift <= 0.3, (assay, row)
-
-
-class TestCommittedTrajectory9:
-    """CI guard over the checked-in BENCH_9.json against BENCH_8.json.
-
-    Format 6's acceptance quantity is the instrumentation-overhead probe:
-    the flight recorder must cost the solver-free golden trio less than
-    the 3% ceiling, with identical makespans traced and untraced and span
-    summaries present for every assay.  The verify-probe floors and the
-    makespan/bb-probe pins carry over from the earlier trajectory guards.
-    """
-
-    @pytest.fixture(scope="class")
-    def bench9(self):
-        path = Path(__file__).resolve().parent.parent / "BENCH_9.json"
-        assert path.exists(), "BENCH_9.json must be committed at the repo root"
-        return json.loads(path.read_text())
-
-    def test_format_and_baseline(self, bench9):
-        assert bench9["bench_format"] == 6
-        assert bench9["delta"]["against"] == "BENCH_8.json"
-
-    def test_paper_makespans_unchanged(self, bench9):
-        makespans = {r["assay"]: r["makespan"] for r in bench9["experiments"]}
-        assert makespans == {"RA30": 650, "IVD": 280, "PCR": 330}
-
-    def test_obs_probe_is_under_the_overhead_ceiling(self, bench9):
-        from repro.bench import OBS_PROBE_OVERHEAD_CEILING_PCT
-
-        probe = bench9["obs_probe"]
-        assert probe["ok"], probe
-        # The acceptance number: the flight recorder costs the trio less
-        # than the ceiling even in the conservative solver-free framing.
-        assert probe["overhead_pct"] < OBS_PROBE_OVERHEAD_CEILING_PCT, probe
-        assert probe["solver_free"] is True
-        delta = bench9["delta"]["obs_probe"]
-        assert delta["overhead_pct"] == probe["overhead_pct"]
-        assert delta["baseline_source"] == "in-run untraced engine"
-
-    def test_obs_probe_embeds_span_summaries_for_every_assay(self, bench9):
-        probe = bench9["obs_probe"]
-        assert set(probe["assays"]) == {"RA30", "IVD", "PCR"}
-        for assay, row in probe["assays"].items():
-            stages = {s["name"] for s in row["spans"]}
-            assert {
-                "stage:schedule", "stage:archsyn", "stage:physical"
-            } <= stages, (assay, stages)
-
-    def test_verify_probe_floors_carry_over(self, bench9):
-        from repro.bench import (
-            VERIFY_PROBE_FAULT_FLOOR,
-            VERIFY_PROBE_FAULT_FREE_FLOOR,
-        )
-
-        probe = bench9["verify_probe"]
-        assert probe["ok"], probe
-        assert probe["fault_free"]["speedup"] >= VERIFY_PROBE_FAULT_FREE_FLOOR
-        assert probe["fault"]["speedup"] >= VERIFY_PROBE_FAULT_FLOOR
-
-    def test_probe_still_delivers_optimal_quality(self, bench9):
-        probe = bench9["bb_probe"]
-        assert probe["ok"], probe
-        assert probe["makespan"] == 280
-        schedule_row = next(
-            row for row in probe["stages"] if row["stage"] == "schedule"
-        )
-        assert schedule_row["warm_start_used"] is True
-        assert schedule_row["backend"] == "branch-and-bound"
-
-    def test_schedule_stage_has_no_real_regression(self, bench9):
-        for assay, row in bench9["delta"]["experiments"].items():
-            drift = row.get("schedule_stage_s")
-            if drift is not None:
-                assert drift <= 0.3, (assay, row)
-
-
-class TestSolverOverride:
-    def test_single_synthesis_accepts_solver_flag(self, capsys):
-        exit_code = main([
-            "--assay", "PCR", "--scheduler", "list", "--solver", "branch-and-bound",
-        ])
-        assert exit_code == 0
-        # Solver-free run (list + heuristic): no backend line in the report.
-        assert "solver backends:" not in capsys.readouterr().out
-
-    def test_single_synthesis_reports_winning_backend(self, capsys):
-        exit_code = main(["--assay", "PCR", "--time-limit", "20"])
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        # Default config: auto scheduler picks the exact ILP for PCR, the
-        # portfolio solves it, and the report names the winner.
-        assert "solver backends: schedule=" in out
-
-    def test_batch_solver_override_changes_job_configs(self, tmp_path, capsys):
-        manifest = tmp_path / "m.json"
-        manifest.write_text(json.dumps({
-            "jobs": [{"assay": "PCR", "config": {"ilp_operation_limit": 0}}],
-        }))
-        json_out = tmp_path / "report.json"
-        exit_code = main(["batch", str(manifest), "--solver", "branch-and-bound",
-                          "--json", str(json_out)])
-        assert exit_code == 0
-        payload = json.loads(json_out.read_text())
-        stages = payload["jobs"][0]["stages"]
-        assert {row["stage"] for row in stages} == {"schedule", "archsyn", "physical"}
-        # Solver-free jobs still carry the per-stage backend fields (null).
-        assert all("backend" in row and "fallback_used" in row for row in stages)
-
-    def test_unknown_solver_is_an_argparse_error(self, tmp_path):
-        manifest = tmp_path / "m.json"
-        manifest.write_text(json.dumps({"jobs": [{"assay": "PCR"}]}))
-        with pytest.raises(SystemExit) as excinfo:
-            main(["batch", str(manifest), "--solver", "gurobi"])
-        assert excinfo.value.code == 2

@@ -45,5 +45,5 @@ def test_gitignore_keeps_bytecode_and_local_artifacts_out():
     gitignore = REPO_ROOT / ".gitignore"
     assert gitignore.exists(), "root .gitignore is missing"
     rules = gitignore.read_text()
-    for rule in ("__pycache__/", "*.py[cod]", ".pytest_cache/", "BENCH_local"):
+    for rule in ("__pycache__/", "*.py[cod]", ".pytest_cache/"):
         assert rule in rules, f".gitignore lost the {rule!r} rule"

@@ -197,6 +197,18 @@ class TestSchedulerWarmStart:
         assert schedule.makespan >= 330
         assert scheduler.last_warm_start_used is False
 
+    def test_warm_start_delivers_the_ivd_optimum_within_a_tiny_budget(self):
+        # Interval-propagation B&B cannot prove IVD optimal at any budget,
+        # but the list-heuristic warm start seeds the optimal 280 as the
+        # incumbent from the first node.  The 0.1 s is a budget, so no wall
+        # time is asserted: the quality delivered within it is the contract.
+        library = build_library(FlowConfig.paper_defaults_for("IVD"))
+        scheduler = self.make_scheduler(library, time_limit_s=0.1)
+        schedule = scheduler.schedule(assay_by_name("IVD"))
+        assert schedule.makespan == 280
+        assert scheduler.last_warm_start_used is True
+        assert scheduler.last_backend == "branch-and-bound"
+
 
 class TestExplorationWarmStart:
     """Acceptance-scale sweep: 24 configs, warm-started, frontier unchanged."""
