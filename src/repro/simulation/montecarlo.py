@@ -52,7 +52,8 @@ Performance architecture (three stacked layers, all bit-identical):
   trial fault/retry/migration masks with a per-trial draw cursor) when
   faults are enabled.  The random draws still come from the per-trial
   SHA-derived ``random.Random`` streams — reproduced bit-for-bit across
-  the trial axis by :mod:`repro.simulation.mtstream` — and
+  the trial axis by :mod:`repro.simulation.mtstream`, and generated on
+  demand: the fault stream only as far as the trials' cursors reach — and
   ``round``/``np.rint`` agree on float64 (both round half to even), so
   every reported value is bit-identical to the scalar engine.
 * ``workers > 1`` shards trial index ranges across a process pool.
@@ -95,7 +96,11 @@ from repro.obs.trace import (
     uninstall_recorder,
 )
 from repro.scheduling.schedule import Schedule
-from repro.simulation.mtstream import derive_seed_block, uniform_block
+from repro.simulation.mtstream import (
+    MersenneStream,
+    derive_seed_block,
+    uniform_block,
+)
 
 #: Hard cap on the violation diagnostics kept per report, so a
 #: pathological configuration cannot balloon artifact payloads.  When the
@@ -476,6 +481,11 @@ class _ShardOutcome:
     detail: List[TrialResult]
     notes: List[str]
     notes_total: int
+    #: Fault-stream draws the masked kernel materialised, and the
+    #: worst-case width times trials it would have drawn upfront (both 0 on
+    #: the other kernels).  Trace attributes only: never in the report.
+    fault_draws: int = 0
+    fault_draw_bound: int = 0
     #: Serialized spans recorded inside the shard worker (empty unless the
     #: coordinator was tracing); absorbed into the parent recorder.
     spans: List[Dict[str, Any]] = field(default_factory=list)
@@ -605,6 +615,8 @@ class MonteCarloEngine:
                 plan_compile_s=round(compile_s, 6),
                 replay_s=round(replay_s, 6),
                 trials_per_s=round(cfg.trials / replay_s, 3) if replay_s else 0.0,
+                fault_draws=sum(o.fault_draws for o in outcomes),
+                fault_draw_bound=sum(o.fault_draw_bound for o in outcomes),
             )
 
         aggregate = TrialAggregate.merged([o.aggregate for o in outcomes])
@@ -732,9 +744,8 @@ class MonteCarloEngine:
         streams, inflation factors applied in float64, and half-to-even
         rounding (``np.rint`` == ``round``), floored at the nominal
         duration.  Returns a read-only broadcast when jitter is off.
-        ``uniforms`` (first jitter-stream draws per trial, possibly wider
-        than needed) skips the draw generation — the fault kernel batches
-        both streams through one seeding pass.
+        ``uniforms`` (the first jitter-stream draws per trial) skips the
+        draw generation — the fault kernel seeds both streams in one pass.
         """
         cfg = self.config
         block = hi - lo
@@ -763,7 +774,11 @@ class MonteCarloEngine:
         return durations
 
     def _fault_draw_width(self, plan: ReplayPlan) -> int:
-        """Upper bound on fault-stream draws any single trial can consume."""
+        """Upper bound on fault-stream draws any single trial can consume.
+
+        The fault stream's *capacity*, not an allocation: the kernel
+        generates draws on demand and never past this bound.
+        """
         cfg = self.config
         width = 0
         if cfg.channel_fault_rate > 0:
@@ -783,9 +798,12 @@ class MonteCarloEngine:
         arithmetic for every trial, just gated by that trial's draws.
         The kernel walks entries once per block, keeping per-trial state
         matrices (finish, device availability, bindings, last occupant)
-        and a per-trial cursor into a pre-generated fault-draw matrix, so
-        draw *consumption* — and therefore every value — matches the
-        scalar engine trial for trial.
+        and a per-trial cursor into the block's fault stream, so draw
+        *consumption* — and therefore every value — matches the scalar
+        engine trial for trial.  The stream is a draw-major
+        :class:`~repro.simulation.mtstream.MersenneStream` extended before
+        each entry to the furthest cursor plus the most draws the entry
+        can consume, so only draws some trial can read are generated.
         """
         cfg = self.config
         plan = self.plan()
@@ -803,37 +821,39 @@ class MonteCarloEngine:
         notes_total = 0
 
         jitter_draws = self._jitter_draw_count(plan)
+        entry_draws = [
+            (len(plan.preds[e]) if channel_rate > 0 else 0)
+            + (2 + cfg.max_retries if fault_rate > 0 else 0)
+            for e in range(num_entries)
+        ]
+        drawn = 0
 
         for block_lo in range(lo, hi, VECTOR_BLOCK_TRIALS):
             block_hi = min(block_lo + VECTOR_BLOCK_TRIALS, hi)
             block = block_hi - block_lo
             rows = np.arange(block)
-            # One seeding pass covers both stream families: stream setup
-            # dominates at small draw counts, and doubling the batch
-            # amortizes it (rows are independent, so fusing cannot change
-            # any draw).
+            # One seeding pass covers both stream families (see
+            # MersenneStream.fused); each then generates only what it reads.
+            seed_blocks: List[np.ndarray] = []
+            capacities: List[int] = []
+            for prefix, draws in (("jitter-", jitter_draws), ("fault-", width)):
+                if draws:
+                    seed_blocks.append(
+                        derive_seed_block(cfg.seed, prefix, block_lo, block_hi)
+                    )
+                    capacities.append(draws)
+            streams = MersenneStream.fused(seed_blocks, capacities)
             jitter_uniforms: Optional[np.ndarray] = None
-            if width and jitter_draws:
-                seeds = np.concatenate(
-                    [
-                        derive_seed_block(cfg.seed, "jitter-", block_lo, block_hi),
-                        derive_seed_block(cfg.seed, "fault-", block_lo, block_hi),
-                    ]
-                )
-                fused = uniform_block(seeds, max(jitter_draws, width))
-                jitter_uniforms = fused[:block]
-                stream = fused[block:, :width]
-            elif width:
-                stream = uniform_block(
-                    derive_seed_block(cfg.seed, "fault-", block_lo, block_hi),
-                    width,
-                )
+            if jitter_draws:
+                jitter = streams.pop(0)
+                jitter.ensure(jitter_draws)
+                jitter_uniforms = jitter.draws[:jitter_draws].T
             durations = self._duration_matrix(
                 plan, block_lo, block_hi, uniforms=jitter_uniforms
             )
             if width:
-                fault_draws = np.zeros((block, width + 1), dtype=np.float64)
-                fault_draws[:, :width] = stream
+                faults = streams[0]
+                fault_draws = faults.draws
                 cursor = np.zeros(block, dtype=np.intp)
 
             finish = np.empty((block, num_entries), dtype=np.int64)
@@ -851,6 +871,10 @@ class MonteCarloEngine:
             block_notes: List[Tuple[int, int, int, int]] = []
 
             for e in range(num_entries):
+                if width:
+                    # Every draw this entry can consume, past the furthest
+                    # cursor; the stream clamps at its capacity.
+                    faults.ensure(int(cursor.max()) + entry_draws[e])
                 dev = plan.device[e]
                 dur_e = durations[:, e]
                 ready = np.full(block, plan.starts[e], dtype=np.int64)
@@ -859,7 +883,7 @@ class MonteCarloEngine:
                     minimum = np.where(same, 0, transport)
                     if channel_rate > 0:
                         cross = ~same
-                        vals = fault_draws[rows, cursor]
+                        vals = fault_draws[cursor, rows]
                         cursor += cross
                         hit = cross & (vals < channel_rate)
                         minimum = minimum + np.where(hit, transport, 0)
@@ -882,7 +906,7 @@ class MonteCarloEngine:
 
                 cur_dev: Optional[np.ndarray] = None
                 if fault_rate > 0:
-                    vals = fault_draws[rows, cursor]
+                    vals = fault_draws[cursor, rows]
                     cursor += 1
                     faulted = vals < fault_rate
                     cnt_faults += faulted
@@ -893,7 +917,7 @@ class MonteCarloEngine:
                             break
                         end = end + np.where(active, dur_e, 0)
                         cnt_retries += active
-                        vals = fault_draws[rows, cursor]
+                        vals = fault_draws[cursor, rows]
                         cursor += active
                         succeeded = active & (vals >= fault_rate)
                         ok |= succeeded
@@ -911,7 +935,7 @@ class MonteCarloEngine:
                             migrated_end = (
                                 np.maximum(end + transport, spare_avail) + dur_e
                             )
-                            vals = fault_draws[rows, cursor]
+                            vals = fault_draws[cursor, rows]
                             cursor += unresolved
                             bad = unresolved & (vals < fault_rate)
                             cnt_recovered += unresolved & ~bad
@@ -965,6 +989,8 @@ class MonteCarloEngine:
             else:
                 makespans = np.full(block, plan.static_floor, dtype=np.int64)
             makespan_parts.append(makespans)
+            if width:
+                drawn += faults.filled * block
             for i, counts in enumerate(
                 (cnt_faults, cnt_recovered, cnt_retries,
                  cnt_migrations, cnt_reroutes, cnt_washes)
@@ -1031,6 +1057,8 @@ class MonteCarloEngine:
             detail=detail,
             notes=notes,
             notes_total=notes_total,
+            fault_draws=drawn,
+            fault_draw_bound=width * (hi - lo),
         )
 
     # ------------------------------------------- vectorized (fault-free)

@@ -8,25 +8,35 @@ trials with only a handful of draws each, stream *setup* dominates the
 whole verification run.
 
 This module reproduces CPython's ``_random.Random`` bit-for-bit in numpy
-across the *trial axis*: every step of ``init_by_array``, the block
-twist, the tempering, and the 53-bit double construction is the same
-32-bit arithmetic the C implementation performs, executed for thousands
-of seeds at once.  ``uniform_block(seeds, k)`` therefore returns exactly
-``[random.Random(int(s)).random() for _ in range(k)]`` per row — a claim
-the test suite pins both against ``Random.getstate()`` and against the
-draws themselves.
+across the *trial axis*: every step of ``init_by_array``, the twist, the
+tempering, and the 53-bit double construction is the same 32-bit
+arithmetic the C implementation performs, executed for thousands of
+seeds at once.
 
-Two cases fall back to per-trial ``random.Random`` (correctness over
-speed): seeds below ``2**32``, which CPython seeds with a one-word key
-instead of two (probability ~2**-31 for SHA-derived seeds), and empty
-batches.
+Draws are generated on demand by one path, :class:`MersenneStream`: it
+holds the post-seeding ``(624, B)`` state and, when asked for more
+draws, twists only the next words, in chunks of at most 227 words.  The
+twist recurrence makes that exact (Matsumoto & Nishimura, ACM TOMACS
+1998): new word ``i`` depends on new word ``i - 227``, so a chunk that
+long reads only words an earlier chunk finished.  A caller that does not
+know how many draws it will read (the Monte-Carlo fault kernel) extends
+the stream as it goes instead of generating a worst-case width upfront.
+``uniform_block(seeds, k)`` is a fully extended stream, so it returns
+exactly ``[random.Random(int(s)).random() for _ in range(k)]`` per row —
+a claim the test suite pins both against ``Random.getstate()`` and
+against the draws themselves.
+
+Seeds below ``2**32``, which CPython seeds with a one-word key instead
+of two (probability ~2**-31 for SHA-derived seeds), fall back to
+per-trial ``random.Random`` (correctness over speed): their columns are
+overwritten with its draws.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from typing import List
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -143,33 +153,26 @@ def _mix(y: np.ndarray) -> np.ndarray:
     return (y >> _U32(1)) ^ ((y & _U32(1)) * _MATRIX_A)
 
 
-def _twist(mt: np.ndarray) -> np.ndarray:
-    """One generator pass over the 624-word block, vectorized.
+#: Offsets inside one twist where the in-place recurrence changes shape.
+#: Word ``i`` reads word ``(i + 397) % 624``: for ``i < 227`` a word of the
+#: previous generation, from 227 on a word this generation already
+#: rewrote — so a vectorized segment spans at most 227 words.  Word 623
+#: reads the *new* word 0 as its neighbour.
+_SEGMENT_ENDS = (227, 454, 623, _N)
 
-    The C loop updates in place, so entries ``227..623`` read words the
-    same pass already rewrote; splitting at the 227-word recurrence
-    stride keeps every chunk's inputs well-defined.  Layout ``(624, B)``.
+
+def _twist_range(mt: np.ndarray, lo: int, hi: int) -> None:
+    """Rewrite state words ``lo..hi-1`` in place, as the C twist loop does.
+
+    ``[lo, hi)`` must lie inside one segment of :data:`_SEGMENT_ENDS`,
+    which makes every word the segment reads either untouched (old) or
+    rewritten by an earlier segment (new), exactly as in the sequential
+    loop.  Layout ``(624, B)``.
     """
-    new = np.empty_like(mt)
-    y = (mt[0:227] & _UPPER) | (mt[1:228] & _LOWER)
-    new[0:227] = mt[397:624] ^ _mix(y)
-    y = (mt[227:454] & _UPPER) | (mt[228:455] & _LOWER)
-    new[227:454] = new[0:227] ^ _mix(y)
-    y = (mt[454:623] & _UPPER) | (mt[455:624] & _LOWER)
-    new[454:623] = new[227:396] ^ _mix(y)
-    y = (mt[623] & _UPPER) | (new[0] & _LOWER)
-    new[623] = new[396] ^ _mix(y)
-    return new
-
-
-def _twist_prefix(mt: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` (≤ 227) post-twist words, skipping the rest.
-
-    Words ``0..226`` of a twist read only pre-twist state, so when a
-    stream needs few draws the other ~400 words never have to exist.
-    """
-    y = (mt[0:count] & _UPPER) | (mt[1 : count + 1] & _LOWER)
-    return mt[397 : 397 + count] ^ _mix(y)
+    nxt = mt[lo + 1 : hi + 1] if hi < _N else mt[0:1]
+    src = (lo + _M) % _N
+    y = (mt[lo:hi] & _UPPER) | (nxt & _LOWER)
+    mt[lo:hi] = mt[src : src + hi - lo] ^ _mix(y)
 
 
 def _temper(y: np.ndarray) -> np.ndarray:
@@ -190,42 +193,114 @@ def state_block(seeds: np.ndarray) -> np.ndarray:
     ).T
 
 
+class MersenneStream:
+    """``random()`` doubles for a batch of seeds, generated on demand.
+
+    ``draws`` is a draw-major ``(capacity + 1, B)`` buffer: after
+    ``ensure(n)``, column ``t`` of rows ``0..n-1`` equals ``n`` calls of
+    ``random.Random(int(seeds[t])).random()`` bit-for-bit.  Each call
+    generates only the words past what earlier calls produced, twisting
+    the held ``(624, B)`` state one :func:`_twist_range` segment at a time
+    and writing the 53-bit doubles straight into the buffer.  Row
+    ``capacity`` is never written: a zero sentinel a cursor parked at the
+    end of the stream may read without consuming.  The buffer is
+    zero-allocated, so rows never reached cost no resident memory.
+    """
+
+    __slots__ = ("capacity", "filled", "draws", "_mt", "_rngs")
+
+    def __init__(
+        self,
+        seeds: np.ndarray,
+        capacity: int,
+        state: Optional[np.ndarray] = None,
+    ) -> None:
+        seeds = np.ascontiguousarray(seeds, dtype=np.uint64)
+        self.capacity = capacity
+        self.filled = 0
+        self.draws = np.zeros((capacity + 1, seeds.shape[0]), dtype=np.float64)
+        if state is None and seeds.size and capacity:
+            state = _init_by_array_two_words(seeds)
+        self._mt = state
+        # Seeds below 2**32 take a one-word key in CPython; their columns
+        # are generated with the rest, then overwritten per trial.
+        self._rngs = [
+            (int(t), random.Random(int(seeds[t])))
+            for t in np.nonzero(seeds < np.uint64(1 << 32))[0]
+        ]
+
+    @classmethod
+    def fused(
+        cls, seed_blocks: Sequence[np.ndarray], capacities: Sequence[int]
+    ) -> List["MersenneStream"]:
+        """One stream per seed family, seeded by a single pass.
+
+        ``init_by_array`` costs the same per seed whatever the draw count,
+        and its 1247 sequential steps are per-call overhead at small
+        batches, so the families share one pass over the concatenated
+        seeds.  Each stream then twists its own column slice of that state
+        to its own capacity; columns are independent, so sharing the pass
+        cannot change a draw.
+        """
+        if not seed_blocks:
+            return []
+        blocks = [np.ascontiguousarray(s, dtype=np.uint64) for s in seed_blocks]
+        state = _init_by_array_two_words(np.concatenate(blocks))
+        streams: List[MersenneStream] = []
+        col = 0
+        for block, capacity in zip(blocks, capacities):
+            own = state[:, col : col + block.size]
+            streams.append(cls(block, capacity, state=own))
+            col += block.size
+        return streams
+
+    def ensure(self, n: int) -> None:
+        """Make rows ``0..n-1`` hold the first ``n`` draws (clamped to capacity)."""
+        n = min(n, self.capacity)
+        lo = self.filled
+        if n <= lo:
+            return
+        if self._mt is not None:
+            self._generate(lo, n)
+        for t, rng in self._rngs:
+            self.draws[lo:n, t] = [rng.random() for _ in range(n - lo)]
+        self.filled = n
+
+    def _generate(self, lo: int, hi: int) -> None:
+        """Doubles ``lo..hi-1``: words ``2*lo..2*hi-1`` of the twist stream.
+
+        Every call starts and ends on a whole double, so only a double
+        whose two words straddle a segment end (words 226/227 and 622/623
+        of each generation) pairs across pieces — joined here.
+        """
+        mt = self._mt
+        word, end = 2 * lo, 2 * hi
+        pieces: List[np.ndarray] = []
+        while word < end:
+            j = word % _N
+            stop = min(next(b for b in _SEGMENT_ENDS if b > j), j + end - word)
+            _twist_range(mt, j, stop)
+            pieces.append(_temper(mt[j:stop]))
+            word += stop - j
+        words = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        out = self.draws[lo:hi]
+        # ``(a * 2**26 + b) / 2**53`` with a, b the top 27/26 bits — the
+        # same float64 operations, in the same order, as ``random_random``.
+        np.multiply(words[0::2] >> _U32(5), 67108864.0, out=out)
+        out += words[1::2] >> _U32(6)
+        out *= 1.0 / 9007199254740992.0
+
+
 def uniform_block(seeds: np.ndarray, draws: int) -> np.ndarray:
     """The first ``draws`` ``random()`` doubles of every seed's stream.
 
     Row ``t`` equals ``[random.Random(int(seeds[t])).random() for _ in
-    range(draws)]`` bit-for-bit: 53-bit doubles assembled from tempered
-    32-bit pairs exactly as ``random_random`` does.
+    range(draws)]`` bit-for-bit: a fully ensured :class:`MersenneStream`,
+    viewed trial-major.
     """
-    batch = int(seeds.shape[0])
-    out = np.empty((batch, draws), dtype=np.float64)
-    if batch == 0 or draws == 0:
-        return out
-    seeds = np.ascontiguousarray(seeds, dtype=np.uint64)
-    small = seeds < np.uint64(1 << 32)
-    big = np.nonzero(~small)[0]
-    if big.size:
-        mt = _init_by_array_two_words(seeds[big])
-        needed = 2 * draws
-        if needed <= 227:
-            words = _temper(_twist_prefix(mt, needed))
-        else:
-            chunks: List[np.ndarray] = []
-            while needed > 0:
-                mt = _twist(mt)
-                take = min(needed, _N)
-                chunks.append(_temper(mt[:take]))
-                needed -= take
-            words = (
-                chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=0)
-            )
-        a = (words[0::2] >> _U32(5)).astype(np.float64)
-        b = (words[1::2] >> _U32(6)).astype(np.float64)
-        out[big] = ((a * 67108864.0 + b) * (1.0 / 9007199254740992.0)).T
-    for t in np.nonzero(small)[0]:
-        rng = random.Random(int(seeds[t]))
-        out[t] = [rng.random() for _ in range(draws)]
-    return out
+    stream = MersenneStream(seeds, draws)
+    stream.ensure(draws)
+    return stream.draws[:draws].T
 
 
 def uniform_stream_block(
@@ -241,6 +316,7 @@ def uniform_stream_block(
 
 
 __all__ = [
+    "MersenneStream",
     "derive_seed_block",
     "state_block",
     "uniform_block",

@@ -11,11 +11,14 @@ are covered:
   CPython's Mersenne Twister bit-for-bit: the post-seeding state equals
   ``random.Random(seed).getstate()``, and the generated doubles equal
   ``Random.random()`` across the twist boundaries (one prefix twist,
-  one full twist, several twists);
+  one full twist, several twists), also when the on-demand stream is
+  extended in uneven steps;
 * **engine level** — hypothesis-generated configurations (jitter mode and
   spread, wash, fault and channel-fault rates, retry budgets, seeds)
   produce byte-identical ``VerificationReport.as_dict()`` payloads and
   identical per-trial detail from the vectorized and scalar engines;
+  The fault kernel is also pinned on RA100, whose trials read far past
+  the first 227-word chunk, so the on-demand stream really extends;
 * **sharding level** — the report is invariant under the worker count,
   both in-process (``MonteCarloConfig(workers=...)``) and through the
   ``repro simulate --workers N --json`` subcommand in a fresh process.
@@ -37,7 +40,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.devices.device import default_device_library
+from repro.graph.library import assay_by_name
 from repro.keys import derive_seed
+from repro.obs.trace import TraceRecorder, install_recorder, uninstall_recorder
+from repro.scheduling.list_scheduler import ListScheduler, ListSchedulerConfig
 from repro.simulation import MonteCarloConfig, MonteCarloEngine
 from repro.simulation import montecarlo, mtstream
 
@@ -54,6 +60,14 @@ def _run(schedule, library, config, *, scalar=False):
         return MonteCarloEngine(schedule, library, config).run()
     finally:
         os.environ.pop(montecarlo._SCALAR_ENV, None)
+
+
+@pytest.fixture(scope="module")
+def ra100():
+    """RA100's list schedule on four mixers: 100 device entries, 95 edges."""
+    library = default_device_library(num_mixers=4)
+    scheduler = ListScheduler(library, ListSchedulerConfig(transport_time=10))
+    return scheduler.schedule(assay_by_name("RA100")), library
 
 
 def _detail(report):
@@ -96,6 +110,55 @@ class TestMersenneStream:
         for t, seed in enumerate(seeds):
             rng = random.Random(int(seed))
             assert block[t].tolist() == [rng.random() for _ in range(5)]
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(min_value=1 << 32, max_value=(1 << 63) - 1),
+        # 113/114 straddle the first 227-word chunk, where a double pairs
+        # words from two chunks; 312/313 sit on the 624-word twist; 700
+        # needs a second twist.
+        capacity=st.sampled_from([1, 113, 114, 312, 313, 700]),
+        steps=st.lists(st.integers(min_value=0, max_value=240), max_size=6),
+    )
+    def test_on_demand_stream_matches_cpython_in_uneven_steps(
+        self, seed, capacity, steps
+    ):
+        stream = mtstream.MersenneStream(
+            np.array([seed, seed ^ 1], dtype=np.uint64), capacity
+        )
+        target = 0
+        for step in steps + [capacity]:
+            target += step
+            stream.ensure(target)
+            assert stream.filled == min(target, capacity)
+        assert stream.draws.shape == (capacity + 1, 2)
+        for column, s in enumerate((seed, seed ^ 1)):
+            rng = random.Random(s)
+            assert stream.draws[:capacity, column].tolist() == [
+                rng.random() for _ in range(capacity)
+            ]
+        assert stream.draws[capacity].tolist() == [0.0, 0.0]  # the sentinel
+
+    def test_on_demand_stream_small_seeds_fall_back_to_cpython(self):
+        seeds = np.array([0, 12345, (1 << 32) - 1, 1 << 32, 1 << 62], dtype=np.uint64)
+        stream = mtstream.MersenneStream(seeds, 313)
+        for target in (3, 114, 200, 313):
+            stream.ensure(target)
+        for column, seed in enumerate(seeds):
+            rng = random.Random(int(seed))
+            assert stream.draws[:313, column].tolist() == [
+                rng.random() for _ in range(313)
+            ]
+
+    def test_fused_families_equal_separately_seeded_streams(self):
+        jitter = np.array([1 << 40, 7, (1 << 50) + 3], dtype=np.uint64)
+        faults = np.array([(1 << 33) + 9, 1 << 61], dtype=np.uint64)
+        fused = mtstream.MersenneStream.fused([jitter, faults], [5, 400])
+        for stream, seeds, capacity in zip(fused, (jitter, faults), (5, 400)):
+            stream.ensure(capacity // 3)
+            stream.ensure(capacity)
+            alone = mtstream.uniform_block(seeds, capacity)
+            assert stream.draws[:capacity].T.tolist() == alone.tolist()
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -164,6 +227,32 @@ class TestVectorizedScalarDifferential:
         assert fast.as_dict() == ref.as_dict()
         assert _detail(fast) == _detail(ref)
 
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        jitter=st.sampled_from(["none", "uniform", "normal"]),
+        fault_rate=st.floats(min_value=0.0, max_value=1.0),
+        channel_rate=st.floats(min_value=0.0, max_value=1.0),
+        max_retries=st.integers(min_value=0, max_value=3),
+        wash_time=st.integers(min_value=1, max_value=15),
+    )
+    def test_masked_kernel_extending_its_stream_is_byte_identical(
+        self, ra100, seed, jitter, fault_rate, channel_rate, max_retries,
+        wash_time,
+    ):
+        # RA100's worst-case fault stream is up to 595 draws wide, so the
+        # kernel extends the stream many times per block.
+        schedule, library = ra100
+        config = MonteCarloConfig(
+            trials=8, seed=seed, jitter=jitter, jitter_spread=0.2,
+            fault_rate=fault_rate, channel_fault_rate=channel_rate,
+            max_retries=max_retries, wash_time=wash_time,
+        )
+        fast = _run(schedule, library, config)
+        ref = _run(schedule, library, config, scalar=True)
+        assert fast.as_dict() == ref.as_dict()
+        assert _detail(fast) == _detail(ref)
+
     def test_block_boundary_straddling_run_is_byte_identical(self, pcr_schedule):
         # More trials than one vector block forces the blocked path.
         library = default_device_library(num_mixers=2)
@@ -216,6 +305,18 @@ class TestWorkerInvariance:
         assert serial.as_dict() == sharded.as_dict()
         assert _detail(serial) == _detail(sharded)
 
+    def test_sharded_fault_kernel_on_ra100_is_invariant(self, ra100):
+        schedule, library = ra100
+        base = MonteCarloConfig(
+            trials=192, seed=23, jitter="uniform", jitter_spread=0.2,
+            fault_rate=0.3, channel_fault_rate=0.1, max_retries=3,
+            wash_time=8,
+        )
+        serial = _run(schedule, library, base)
+        sharded = _run(schedule, library, replace(base, workers=3))
+        assert serial.as_dict() == sharded.as_dict()
+        assert _detail(serial) == _detail(sharded)
+
     def test_sharded_scalar_engine_is_also_invariant(self, pcr_schedule):
         # Sharding and the scalar escape hatch compose: the shards
         # themselves replay with the reference engine.
@@ -258,3 +359,40 @@ class TestWorkerInvariance:
             payloads[workers] = json.loads(out.read_text())
         assert payloads[1]["trials"] == 96
         assert payloads[1] == payloads[4]
+
+
+# ----------------------------------------------------------- trace fields
+
+
+class TestFaultDrawTrace:
+    def _traced(self, schedule, library, config):
+        rec = TraceRecorder()
+        token = install_recorder(rec)
+        try:
+            report = _run(schedule, library, config)
+        finally:
+            uninstall_recorder(token)
+        (mc,) = [s for s in rec.spans() if s.name == "verify:mc"]
+        return report, mc.attributes
+
+    def test_verify_span_reports_materialised_and_worst_case_draws(self, ra100):
+        schedule, library = ra100
+        config = MonteCarloConfig(
+            trials=128, seed=4, jitter="uniform",
+            fault_rate=0.02, channel_fault_rate=0.02,
+        )
+        report, attrs = self._traced(schedule, library, config)
+        engine = MonteCarloEngine(schedule, library, config)
+        width = engine._fault_draw_width(engine.plan())
+        assert attrs["fault_draw_bound"] == width * 128
+        # Trials read past the first chunk, yet well short of the bound.
+        assert 113 * 128 < attrs["fault_draws"] < attrs["fault_draw_bound"]
+        # Trace attributes never reach the report.
+        assert "fault_draws" not in report.as_dict()
+        assert report.as_dict() == _run(schedule, library, config).as_dict()
+
+    def test_fault_free_runs_draw_no_fault_stream(self, pcr_schedule):
+        library = default_device_library(num_mixers=2)
+        config = MonteCarloConfig(trials=16, seed=1, jitter="uniform")
+        _, attrs = self._traced(pcr_schedule, library, config)
+        assert attrs["fault_draws"] == attrs["fault_draw_bound"] == 0
