@@ -6,9 +6,9 @@ samples (see ``perfbench/README.md``).  ``repro bench`` keeps only the two
 checks that compare against a baseline measured in the same run, so their
 gates hold on any machine:
 
-* a verify-throughput probe: trials/s of the vectorized fault-free and
-  masked fault-path Monte-Carlo kernels on a solver-free PCR schedule,
-  each against the scalar reference engine (``REPRO_MC_SCALAR=1``)
+* a verify-throughput probe: trials/s of the masked Monte-Carlo kernel,
+  fault-free and with faults, on a solver-free PCR schedule, each
+  against the scalar reference engine (``REPRO_MC_SCALAR=1``)
   measured in the same run — with a byte-identity check between the fast
   and scalar reports, so throughput can never be bought with a changed
   number,
@@ -40,9 +40,9 @@ from repro.synthesis.config import FlowConfig
 #: The assays of the overhead probe: exactly the golden trio.
 DEFAULT_ASSAYS = ("RA30", "IVD", "PCR")
 
-#: Trial counts of the Monte-Carlo verify-throughput probe: the
-#: vectorized fault-free path is timed over 4096 uniform-jitter trials and
-#: the masked fault path over 1024 fault-injected trials, each against the
+#: Trial counts of the Monte-Carlo verify-throughput probe: the masked
+#: kernel is timed over 4096 fault-free uniform-jitter trials and over
+#: 1024 fault-injected trials, each against the
 #: scalar reference engine (``REPRO_MC_SCALAR=1``) measured in the same
 #: run — a relative quantity, robust to runner speed.
 VERIFY_PROBE_FAULT_FREE_TRIALS = 4096
@@ -80,17 +80,17 @@ OBS_PROBE_ATTEMPTS = 5
 
 
 def run_verify_probe() -> Dict[str, Any]:
-    """Verify-throughput probe: vectorized vs scalar Monte-Carlo replay.
+    """Verify-throughput probe: fast vs scalar Monte-Carlo replay.
 
     Times the :class:`~repro.simulation.montecarlo.MonteCarloEngine`
     directly (no synthesis pipeline around it) on a solver-free PCR
-    schedule, twice per configuration: once with the default fast kernels
+    schedule, twice per configuration: once with the default masked kernel
     and once with the scalar reference forced via ``REPRO_MC_SCALAR=1``.
-    Two configurations cover both fast paths — 4096 fault-free
-    uniform-jitter trials (the vectorized path) and 1024 fault-injected
-    trials (the masked path).  Each row records trials/s for both engines
-    and their ratio; because the baseline is measured in the same run on
-    the same machine, the speedup is meaningful on any runner.  ``ok``
+    Two configurations cover the kernel's static-binding and fault cases —
+    4096 fault-free uniform-jitter trials and 1024 fault-injected trials.
+    Each row records trials/s for both engines and their ratio; because
+    the baseline is measured in the same run on the same machine, the
+    speedup is meaningful on any runner.  ``ok``
     additionally demands that each fast report's ``as_dict()`` payload is
     byte-identical to the scalar engine's — the probe must never buy
     throughput with a changed number.
@@ -120,7 +120,7 @@ def run_verify_probe() -> Dict[str, Any]:
 
     def _timed_pair(schedule, library, config):
         # Two untimed warmups per engine (first-touch page faults, lazy
-        # imports, allocator arenas — the vectorized path takes a few runs
+        # imports, allocator arenas — the fast kernel takes a few runs
         # to plateau), then three timed rounds with the engines
         # *interleaved* — fast, scalar, fast, scalar, ... — so a load
         # spike on a shared runner lands on both sides of the ratio
@@ -186,7 +186,7 @@ def run_verify_probe() -> Dict[str, Any]:
             }
             if not identical:
                 ok = False
-                error = f"{name}: vectorized and scalar reports differ"
+                error = f"{name}: fast and scalar reports differ"
             elif fast_report.makespan_p50 < schedule.makespan:
                 ok = False
                 error = f"{name}: sampled median below the deterministic makespan"

@@ -64,7 +64,7 @@ fault-recovery rate instead of a single deterministic number::
     python -m repro simulate --assay PCR --trials 64 --jitter uniform \
         --fault-rate 0.05
 
-Bench mode runs the two in-run performance gates — vectorized vs scalar
+Bench mode runs the two in-run performance gates — fast vs scalar
 Monte-Carlo throughput and traced vs untraced instrumentation overhead —
 prints their records as one JSON line, and exits 1 if either misses its
 gate (performance itself is measured by ``perfbench/``)::

@@ -45,15 +45,15 @@ Performance architecture (three stacked layers, all bit-identical):
   indices with precomputed transport minima, static wash predicates,
   device-index maps, and per-entry spare candidate lists — so no trial
   ever calls ``graph.predecessors()``, hashes a string key, or sorts.
-* All trials in a block advance entry by entry as numpy vector operations
-  across the trial axis: plain elementwise max/add passes over a
-  ``(trials x entries)`` duration matrix when
-  ``fault_rate == channel_fault_rate == 0``, and a masked variant (per
-  trial fault/retry/migration masks with a per-trial draw cursor) when
-  faults are enabled.  The random draws still come from the per-trial
-  SHA-derived ``random.Random`` streams — reproduced bit-for-bit across
-  the trial axis by :mod:`repro.simulation.mtstream`, and generated on
-  demand: the fault stream only as far as the trials' cursors reach — and
+* One masked kernel advances all trials of a block entry by entry as
+  numpy vector operations across the trial axis, with per-trial
+  fault/retry/migration masks and a per-trial draw cursor.  Without
+  device faults no binding can move, so it reads the plan's static edge
+  minima and wash predicates instead of tracking per-trial bindings.
+  The random draws still come from the per-trial SHA-derived
+  ``random.Random`` streams — reproduced bit-for-bit across the trial
+  axis by :mod:`repro.simulation.mtstream`, and generated on demand: the
+  fault stream only as far as the trials' cursors reach — and
   ``round``/``np.rint`` agree on float64 (both round half to even), so
   every reported value is bit-identical to the scalar engine.
 * ``workers > 1`` shards trial index ranges across a process pool.
@@ -66,7 +66,7 @@ counter sums (a :class:`TrialAggregate`), so a 100k-trial run never holds
 100k :class:`TrialResult` objects; per-trial detail is retained only up
 to :data:`TRIAL_DETAIL_LIMIT` trials.  Set ``REPRO_MC_SCALAR=1`` to force
 the original scalar engine — the differential reference the test suite
-pins the fast paths against, mirroring ``REPRO_BB_SCALAR``.
+pins the fast kernel against, mirroring ``REPRO_BB_SCALAR``.
 """
 
 from __future__ import annotations
@@ -96,11 +96,7 @@ from repro.obs.trace import (
     uninstall_recorder,
 )
 from repro.scheduling.schedule import Schedule
-from repro.simulation.mtstream import (
-    MersenneStream,
-    derive_seed_block,
-    uniform_block,
-)
+from repro.simulation.mtstream import MersenneStream, derive_seed_block
 
 #: Hard cap on the violation diagnostics kept per report, so a
 #: pathological configuration cannot balloon artifact payloads.  When the
@@ -134,6 +130,8 @@ class MonteCarloConfig:
     behavior are driven by the same values.  ``workers`` is runtime
     advice: it shards trials across processes without changing a single
     reported value, so it deliberately sits outside the stage cache key.
+    Out-of-range values raise :class:`ValueError` at construction, which is
+    also how ``FlowConfig`` validates its ``verify_*`` fields.
     """
 
     trials: int = 32
@@ -145,6 +143,27 @@ class MonteCarloConfig:
     max_retries: int = 1
     wash_time: int = 0
     workers: int = 1
+
+    def __post_init__(self) -> None:
+        if self.trials < 1:
+            raise ValueError("verify trials must be at least 1")
+        if self.jitter not in ("none", "uniform", "normal"):
+            raise ValueError(
+                f"verify jitter must be 'none', 'uniform' or 'normal', "
+                f"got {self.jitter!r}"
+            )
+        if self.jitter_spread < 0:
+            raise ValueError("verify jitter_spread must be non-negative")
+        for name in ("fault_rate", "channel_fault_rate"):
+            rate = getattr(self, name)
+            if not 0.0 <= rate <= 1.0:
+                raise ValueError(f"verify {name} must be in [0, 1], got {rate!r}")
+        if self.max_retries < 0:
+            raise ValueError("verify max_retries must be non-negative")
+        if self.wash_time < 0:
+            raise ValueError("verify wash_time must be non-negative")
+        if self.workers < 1:
+            raise ValueError("verify workers must be at least 1")
 
     @classmethod
     def from_flow_config(cls, config: Any) -> "MonteCarloConfig":
@@ -342,9 +361,9 @@ class ReplayPlan:
     * a CSR predecessor structure (``pred_indptr``/``pred_pos``) listing,
       for each entry, the *earlier* device-bound parents in sorted-op-id
       order — exactly the parents (and the draw order) the scalar replay
-      visits — plus each edge's static precedence minimum for the
-      fault-free path, where bindings never move;
-    * static wash predicates (in a fault-free replay the device occupancy
+      visits — plus each edge's static precedence minimum for replays
+      without device faults, where bindings never move;
+    * static wash predicates (without device faults the device occupancy
       sequence is schedule-determined, so "previous occupant is not a
       direct predecessor" is a compile-time fact per entry);
     * per-entry spare candidate lists (compatible devices minus the
@@ -358,20 +377,14 @@ class ReplayPlan:
         "num_devices",
         "transport_time",
         "static_floor",
-        "static_wash_count",
         "total_pred_edges",
         "starts",
-        "durations",
         "device",
-        "preds",
-        "pred_sets",
-        "spares",
         "spares_np",
         "wash_static",
         "wash_skip",
         "entry_op_ids",
         "device_ids",
-        "starts_np",
         "durations_np",
         "pred_indptr",
         "pred_pos",
@@ -400,12 +413,10 @@ class ReplayPlan:
         pos = {e.op_id: i for i, e in enumerate(device_entries)}
         self.entry_op_ids = [e.op_id for e in device_entries]
         self.starts = [e.start for e in device_entries]
-        self.durations = [e.duration for e in device_entries]
         self.device = [index_of[e.device_id] for e in device_entries]
 
-        preds: List[Tuple[int, ...]] = []
         pred_sets: List[FrozenSet[int]] = []
-        spares: List[Tuple[int, ...]] = []
+        spares_np: List[np.ndarray] = []
         flat_pos: List[int] = []
         flat_min: List[int] = []
         indptr: List[int] = [0]
@@ -414,10 +425,9 @@ class ReplayPlan:
             # The scalar replay visits parents in sorted-op-id order and
             # skips any not yet processed (or not device-bound) — i.e.
             # exactly the device entries with a smaller position.
-            visited = tuple(
+            visited = [
                 pos[p] for p in sorted(parent_ids) if p in pos and pos[p] < i
-            )
-            preds.append(visited)
+            ]
             pred_sets.append(frozenset(pos[p] for p in parent_ids if p in pos))
             for p in visited:
                 flat_pos.append(p)
@@ -428,20 +438,15 @@ class ReplayPlan:
                 )
             indptr.append(len(flat_pos))
             op = graph.operation(entry.op_id)
-            spares.append(
-                tuple(
-                    index_of[d]
-                    for d in sorted(
-                        device.device_id
-                        for device in library.devices_for(op.kind)
-                        if device.device_id != entry.device_id
-                    )
-                )
+            spares = sorted(
+                device.device_id
+                for device in library.devices_for(op.kind)
+                if device.device_id != entry.device_id
             )
-        self.preds = preds
-        self.pred_sets = pred_sets
-        self.spares = spares
-        self.spares_np = [np.asarray(s, dtype=np.int64) for s in spares]
+            spares_np.append(
+                np.asarray([index_of[d] for d in spares], dtype=np.int64)
+            )
+        self.spares_np = spares_np
         self.total_pred_edges = len(flat_pos)
 
         # Static wash predicates: replay the fault-free occupancy sequence.
@@ -453,7 +458,6 @@ class ReplayPlan:
             wash_static.append(prev is not None and prev not in pred_sets[i])
             last_on[d] = i
         self.wash_static = wash_static
-        self.static_wash_count = sum(wash_static)
 
         # Dynamic wash lookup: ``wash_skip[e][p]`` is True when a wash is
         # NOT needed after entry ``p`` runs on the device (direct graph
@@ -465,8 +469,9 @@ class ReplayPlan:
             wash_skip[i, self.num_entries] = True
         self.wash_skip = wash_skip
 
-        self.starts_np = np.asarray(self.starts, dtype=np.int64)
-        self.durations_np = np.asarray(self.durations, dtype=np.int64)
+        self.durations_np = np.asarray(
+            [e.duration for e in device_entries], dtype=np.int64
+        )
         self.pred_indptr = indptr
         self.pred_pos = flat_pos
         self.pred_min = flat_min
@@ -482,8 +487,9 @@ class _ShardOutcome:
     notes: List[str]
     notes_total: int
     #: Fault-stream draws the masked kernel materialised, and the
-    #: worst-case width times trials it would have drawn upfront (both 0 on
-    #: the other kernels).  Trace attributes only: never in the report.
+    #: worst-case width times trials it would have drawn upfront (both 0
+    #: without faults and on the scalar reference).  Trace attributes
+    #: only: never in the report.
     fault_draws: int = 0
     fault_draw_bound: int = 0
     #: Serialized spans recorded inside the shard worker (empty unless the
@@ -549,11 +555,11 @@ class MonteCarloEngine:
     adds time, the zero-perturbation replay reproduces the deterministic
     schedule exactly and perturbed replays are pointwise monotone.
 
-    Three interchangeable executions produce byte-identical reports: the
-    vectorized fault-free fast path, the plan-compiled per-trial kernel
-    (used whenever faults are enabled), and the original scalar reference
-    (forced with ``REPRO_MC_SCALAR=1``).  ``config.workers`` shards the
-    trial range across processes without changing any reported value.
+    Two interchangeable executions produce byte-identical reports: the
+    plan-compiled masked kernel, batched across the trial axis, and the
+    original scalar reference (forced with ``REPRO_MC_SCALAR=1``).
+    ``config.workers`` shards the trial range across processes without
+    changing any reported value.
     """
 
     def __init__(
@@ -651,13 +657,10 @@ class MonteCarloEngine:
         return self._plan
 
     def _run_range(self, lo: int, hi: int) -> _ShardOutcome:
-        """Replay trials ``[lo, hi)`` with the fastest applicable kernel."""
-        cfg = self.config
-        keep_detail = cfg.trials <= TRIAL_DETAIL_LIMIT
+        """Replay trials ``[lo, hi)`` with the masked kernel (or the reference)."""
+        keep_detail = self.config.trials <= TRIAL_DETAIL_LIMIT
         if os.environ.get(_SCALAR_ENV) == "1":
             return self._run_range_reference(lo, hi, keep_detail)
-        if cfg.fault_rate == 0.0 and cfg.channel_fault_rate == 0.0:
-            return self._run_range_vectorized(lo, hi, keep_detail)
         return self._run_range_masked(lo, hi, keep_detail)
 
     @staticmethod
@@ -732,30 +735,19 @@ class MonteCarloEngine:
         return out
 
     def _duration_matrix(
-        self,
-        plan: ReplayPlan,
-        lo: int,
-        hi: int,
-        uniforms: Optional[np.ndarray] = None,
+        self, plan: ReplayPlan, block: int, uniforms: Optional[np.ndarray]
     ) -> np.ndarray:
-        """Jittered ``(trials x entries)`` durations for ``[lo, hi)``.
+        """Jittered ``(block x entries)`` durations from the jitter draws.
 
-        Bit-identical to the scalar ``_jittered``: per-trial SHA-derived
-        streams, inflation factors applied in float64, and half-to-even
-        rounding (``np.rint`` == ``round``), floored at the nominal
-        duration.  Returns a read-only broadcast when jitter is off.
-        ``uniforms`` (the first jitter-stream draws per trial) skips the
-        draw generation — the fault kernel seeds both streams in one pass.
+        ``uniforms`` holds each trial's first jitter-stream draws (``None``
+        when jitter is off, which returns a read-only broadcast of the
+        nominal durations).  Bit-identical to the scalar ``_jittered``:
+        inflation factors applied in float64 and half-to-even rounding
+        (``np.rint`` == ``round``), floored at the nominal duration.
         """
         cfg = self.config
-        block = hi - lo
-        draws_per_trial = self._jitter_draw_count(plan)
-        if draws_per_trial == 0:
-            return np.broadcast_to(plan.durations_np, (block, plan.num_entries))
         if uniforms is None:
-            uniforms = uniform_block(
-                derive_seed_block(cfg.seed, "jitter-", lo, hi), draws_per_trial
-            )
+            return np.broadcast_to(plan.durations_np, (block, plan.num_entries))
         jittered = int(plan.jitter_positions.size)
         if cfg.jitter == "uniform":
             factors = 1.0 + cfg.jitter_spread * uniforms
@@ -787,23 +779,29 @@ class MonteCarloEngine:
             width += plan.num_entries * (2 + cfg.max_retries)
         return width
 
-    # -------------------------------------------------- masked (fault path)
+    # ------------------------------------------------------- masked kernel
     def _run_range_masked(
         self, lo: int, hi: int, keep_detail: bool
     ) -> _ShardOutcome:
-        """Batched fault-path replay: per-trial masks over the trial axis.
+        """Batched replay: per-trial masks over the trial axis.
 
-        Faults migrate operations, so bindings, washes and precedence
-        minima are dynamic — but each entry's update is still the same
-        arithmetic for every trial, just gated by that trial's draws.
-        The kernel walks entries once per block, keeping per-trial state
-        matrices (finish, device availability, bindings, last occupant)
-        and a per-trial cursor into the block's fault stream, so draw
-        *consumption* — and therefore every value — matches the scalar
-        engine trial for trial.  The stream is a draw-major
-        :class:`~repro.simulation.mtstream.MersenneStream` extended before
-        each entry to the furthest cursor plus the most draws the entry
-        can consume, so only draws some trial can read are generated.
+        Each entry's update is the same arithmetic for every trial, just
+        gated by that trial's draws.  The kernel walks entries once per
+        block, keeping per-trial state matrices (finish, device
+        availability) and a per-trial cursor into the block's fault
+        stream, so draw *consumption* — and therefore every value —
+        matches the scalar engine trial for trial.  The stream is a
+        draw-major :class:`~repro.simulation.mtstream.MersenneStream`
+        extended before each entry to the furthest cursor plus the most
+        draws the entry can consume, so only draws some trial can read are
+        generated.
+
+        Only device faults migrate operations.  With them, bindings,
+        washes and precedence minima are dynamic, tracked in per-trial
+        ``bound`` (binding per entry) and ``last`` (last occupant per
+        device) matrices.  Without them no binding can move, so the
+        kernel reads the plan's static edge minima and wash predicates
+        and keeps neither matrix.
         """
         cfg = self.config
         plan = self.plan()
@@ -813,6 +811,8 @@ class MonteCarloEngine:
         channel_rate = cfg.channel_fault_rate
         wash_time = cfg.wash_time
         width = self._fault_draw_width(plan)
+        bindings_move = fault_rate > 0
+        indptr, pred_pos, pred_min = plan.pred_indptr, plan.pred_pos, plan.pred_min
 
         detail: List[TrialResult] = []
         makespan_parts: List[np.ndarray] = []
@@ -822,8 +822,8 @@ class MonteCarloEngine:
 
         jitter_draws = self._jitter_draw_count(plan)
         entry_draws = [
-            (len(plan.preds[e]) if channel_rate > 0 else 0)
-            + (2 + cfg.max_retries if fault_rate > 0 else 0)
+            (indptr[e + 1] - indptr[e] if channel_rate > 0 else 0)
+            + (2 + cfg.max_retries if bindings_move else 0)
             for e in range(num_entries)
         ]
         drawn = 0
@@ -848,9 +848,7 @@ class MonteCarloEngine:
                 jitter = streams.pop(0)
                 jitter.ensure(jitter_draws)
                 jitter_uniforms = jitter.draws[:jitter_draws].T
-            durations = self._duration_matrix(
-                plan, block_lo, block_hi, uniforms=jitter_uniforms
-            )
+            durations = self._duration_matrix(plan, block, jitter_uniforms)
             if width:
                 faults = streams[0]
                 fault_draws = faults.draws
@@ -858,10 +856,12 @@ class MonteCarloEngine:
 
             finish = np.empty((block, num_entries), dtype=np.int64)
             avail = np.zeros((block, plan.num_devices), dtype=np.int64)
-            bound = np.empty((block, num_entries), dtype=np.int64)
-            if num_entries:
-                bound[:] = np.asarray(plan.device, dtype=np.int64)
-            last = np.full((block, plan.num_devices), num_entries, np.int64)
+            ready = np.empty(block, dtype=np.int64)
+            if bindings_move:
+                bound = np.empty((block, num_entries), dtype=np.int64)
+                if num_entries:
+                    bound[:] = np.asarray(plan.device, dtype=np.int64)
+                last = np.full((block, plan.num_devices), num_entries, np.int64)
             cnt_faults = np.zeros(block, dtype=np.int64)
             cnt_recovered = np.zeros(block, dtype=np.int64)
             cnt_retries = np.zeros(block, dtype=np.int64)
@@ -877,12 +877,19 @@ class MonteCarloEngine:
                     faults.ensure(int(cursor.max()) + entry_draws[e])
                 dev = plan.device[e]
                 dur_e = durations[:, e]
-                ready = np.full(block, plan.starts[e], dtype=np.int64)
-                for p in plan.preds[e]:
-                    same = bound[:, p] == dev
-                    minimum = np.where(same, 0, transport)
-                    if channel_rate > 0:
-                        cross = ~same
+                ready.fill(plan.starts[e])
+                for k in range(indptr[e], indptr[e + 1]):
+                    p = pred_pos[k]
+                    if bindings_move:
+                        cross = bound[:, p] != dev
+                        minimum = np.where(cross, transport, 0)
+                    else:
+                        cross = plan.device[p] != dev
+                        minimum = pred_min[k]
+                    # A channel draw per edge whose two devices differ —
+                    # not per non-zero minimum: at transport_time 0 every
+                    # minimum is 0, yet cross edges still draw.
+                    if channel_rate > 0 and (bindings_move or cross):
                         vals = fault_draws[cursor, rows]
                         cursor += cross
                         hit = cross & (vals < channel_rate)
@@ -890,22 +897,25 @@ class MonteCarloEngine:
                         cnt_reroutes += hit
                     np.maximum(ready, finish[:, p] + minimum, out=ready)
 
+                entry_avail = avail[:, dev]
                 if wash_time > 0:
-                    need = ~plan.wash_skip[e][last[:, dev]]
-                    entry_avail = avail[:, dev] + np.where(need, wash_time, 0)
-                    cnt_washes += need
-                    over = np.nonzero(need & (entry_avail > plan.starts[e]))[0]
-                    notes_total += int(over.size)
-                    for t in over[:MAX_DIAGNOSTICS]:
-                        block_notes.append(
-                            (block_lo + int(t), e, 0, int(entry_avail[t]))
-                        )
-                else:
-                    entry_avail = avail[:, dev]
+                    if bindings_move:
+                        need = ~plan.wash_skip[e][last[:, dev]]
+                    else:
+                        need = plan.wash_static[e]
+                    if bindings_move or need:
+                        entry_avail = entry_avail + np.where(need, wash_time, 0)
+                        cnt_washes += need
+                        over = np.nonzero(need & (entry_avail > plan.starts[e]))[0]
+                        notes_total += int(over.size)
+                        for t in over[:MAX_DIAGNOSTICS]:
+                            block_notes.append(
+                                (block_lo + int(t), e, 0, int(entry_avail[t]))
+                            )
                 end = np.maximum(ready, entry_avail) + dur_e
 
                 cur_dev: Optional[np.ndarray] = None
-                if fault_rate > 0:
+                if bindings_move:
                     vals = fault_draws[cursor, rows]
                     cursor += 1
                     faulted = vals < fault_rate
@@ -965,9 +975,11 @@ class MonteCarloEngine:
 
                 finish[:, e] = end
                 if cur_dev is None:
-                    bound[:, e] = dev
-                    np.maximum(avail[:, dev], end, out=avail[:, dev])
-                    last[:, dev] = e
+                    # end >= entry_avail >= the device's availability, so a
+                    # straight assignment preserves the max semantics.
+                    avail[:, dev] = end
+                    if bindings_move:
+                        last[:, dev] = e
                 else:
                     bound[:, e] = cur_dev
                     moved = np.nonzero(cur_dev != dev)[0]
@@ -1059,119 +1071,6 @@ class MonteCarloEngine:
             notes_total=notes_total,
             fault_draws=drawn,
             fault_draw_bound=width * (hi - lo),
-        )
-
-    # ------------------------------------------- vectorized (fault-free)
-    def _run_range_vectorized(
-        self, lo: int, hi: int, keep_detail: bool
-    ) -> _ShardOutcome:
-        """Batched fault-free replay: numpy passes over trial blocks.
-
-        Without faults the device bindings never move, so every trial
-        shares the plan's static precedence minima and wash predicates and
-        only the (per-trial) jittered durations differ — which makes the
-        whole replay a sequence of elementwise max/add vector operations
-        across the trial axis, one short pass per entry.
-        """
-        cfg = self.config
-        plan = self.plan()
-        num_entries = plan.num_entries
-        wash_time = cfg.wash_time
-        indptr = plan.pred_indptr
-        pred_pos = plan.pred_pos
-        pred_min = plan.pred_min
-        washes_per_trial = plan.static_wash_count if wash_time > 0 else 0
-
-        makespan_parts: List[np.ndarray] = []
-        notes: List[str] = []
-        notes_total = 0
-
-        for block_lo in range(lo, hi, VECTOR_BLOCK_TRIALS):
-            block_hi = min(block_lo + VECTOR_BLOCK_TRIALS, hi)
-            block = block_hi - block_lo
-            dur = self._duration_matrix(plan, block_lo, block_hi)
-
-            finish = np.empty((block, num_entries), dtype=np.int64)
-            avail = np.zeros((block, plan.num_devices), dtype=np.int64)
-            ready = np.empty(block, dtype=np.int64)
-            block_notes: List[Tuple[int, int, int]] = []
-            for e in range(num_entries):
-                ready.fill(plan.starts[e])
-                for k in range(indptr[e], indptr[e + 1]):
-                    np.maximum(
-                        ready, finish[:, pred_pos[k]] + pred_min[k], out=ready
-                    )
-                d = plan.device[e]
-                entry_avail = avail[:, d]
-                if wash_time > 0 and plan.wash_static[e]:
-                    entry_avail = entry_avail + wash_time
-                    over = np.nonzero(entry_avail > plan.starts[e])[0]
-                    if over.size:
-                        notes_total += int(over.size)
-                        for t in over[:MAX_DIAGNOSTICS]:
-                            block_notes.append(
-                                (block_lo + int(t), e, int(entry_avail[t]))
-                            )
-                end = np.maximum(ready, entry_avail) + dur[:, e]
-                finish[:, e] = end
-                # end >= entry_avail >= the previous availability, so a
-                # straight assignment preserves the max semantics.
-                avail[:, d] = end
-
-            if num_entries:
-                makespans = finish.max(axis=1)
-                if plan.static_floor:
-                    np.maximum(makespans, plan.static_floor, out=makespans)
-            else:
-                makespans = np.full(block, plan.static_floor, dtype=np.int64)
-            makespan_parts.append(makespans)
-
-            # Re-emit this block's notes in the scalar order (by trial,
-            # then entry sequence), formatting only up to the global cap.
-            block_notes.sort()
-            for trial_index, e, pushed in block_notes:
-                if len(notes) >= MAX_DIAGNOSTICS:
-                    break
-                notes.append(
-                    f"trial {trial_index}: wash on "
-                    f"{plan.device_ids[plan.device[e]]!r} pushes "
-                    f"{plan.entry_op_ids[e]!r} past its scheduled start "
-                    f"({plan.starts[e]} -> {pushed})"
-                )
-
-        all_makespans = (
-            np.concatenate(makespan_parts)
-            if makespan_parts
-            else np.empty(0, dtype=np.int64)
-        )
-        sorted_makespans = np.sort(all_makespans).tolist()
-        count = hi - lo
-        aggregate = TrialAggregate(
-            count=count,
-            sorted_makespans=sorted_makespans,
-            makespan_sum=int(all_makespans.sum()),
-            washes=washes_per_trial * count,
-        )
-        detail: List[TrialResult] = []
-        if keep_detail:
-            detail = [
-                TrialResult(
-                    trial=lo + t,
-                    makespan=int(makespan),
-                    faults_injected=0,
-                    faults_recovered=0,
-                    retries=0,
-                    migrations=0,
-                    reroutes=0,
-                    washes=washes_per_trial,
-                )
-                for t, makespan in enumerate(all_makespans)
-            ]
-        return _ShardOutcome(
-            aggregate=aggregate,
-            detail=detail,
-            notes=notes,
-            notes_total=notes_total,
         )
 
     # ---------------------------------------------------------------- trial

@@ -21,10 +21,10 @@ twist recurrence makes that exact (Matsumoto & Nishimura, ACM TOMACS
 long reads only words an earlier chunk finished.  A caller that does not
 know how many draws it will read (the Monte-Carlo fault kernel) extends
 the stream as it goes instead of generating a worst-case width upfront.
-``uniform_block(seeds, k)`` is a fully extended stream, so it returns
-exactly ``[random.Random(int(s)).random() for _ in range(k)]`` per row —
-a claim the test suite pins both against ``Random.getstate()`` and
-against the draws themselves.
+After ``ensure(k)`` every column holds exactly
+``[random.Random(int(s)).random() for _ in range(k)]`` — a claim the
+test suite pins both against ``Random.getstate()`` and against the draws
+themselves.
 
 Seeds below ``2**32``, which CPython seeds with a one-word key instead
 of two (probability ~2**-31 for SHA-derived seeds), fall back to
@@ -291,34 +291,8 @@ class MersenneStream:
         out *= 1.0 / 9007199254740992.0
 
 
-def uniform_block(seeds: np.ndarray, draws: int) -> np.ndarray:
-    """The first ``draws`` ``random()`` doubles of every seed's stream.
-
-    Row ``t`` equals ``[random.Random(int(seeds[t])).random() for _ in
-    range(draws)]`` bit-for-bit: a fully ensured :class:`MersenneStream`,
-    viewed trial-major.
-    """
-    stream = MersenneStream(seeds, draws)
-    stream.ensure(draws)
-    return stream.draws[:draws].T
-
-
-def uniform_stream_block(
-    root_seed: int, prefix: str, lo: int, hi: int, draws: int
-) -> np.ndarray:
-    """Draw matrix for trials ``[lo, hi)`` of one derived stream family.
-
-    ``uniform_stream_block(s, "jitter-", lo, hi, k)[t]`` is bit-identical
-    to ``random.Random(derive_seed(s, f"jitter-{lo + t}"))`` drawing ``k``
-    uniforms — the exact streams the scalar engine consumes.
-    """
-    return uniform_block(derive_seed_block(root_seed, prefix, lo, hi), draws)
-
-
 __all__ = [
     "MersenneStream",
     "derive_seed_block",
     "state_block",
-    "uniform_block",
-    "uniform_stream_block",
 ]

@@ -1,11 +1,10 @@
-"""Differential tests: vectorized vs scalar Monte-Carlo replay engines.
+"""Differential tests: the masked Monte-Carlo kernel vs the scalar engine.
 
-The vectorized kernels in :mod:`repro.simulation.montecarlo` (the
-fault-free fast path and the masked fault kernel) and the trial-sharding
-layer replaced per-trial Python replay loops; the scalar reference
-survives behind ``REPRO_MC_SCALAR=1`` (mirroring ``REPRO_BB_SCALAR``)
-precisely so this suite can pin them against each other.  Three levels
-are covered:
+The masked kernel in :mod:`repro.simulation.montecarlo`, batched across
+the trial axis, and the trial-sharding layer replaced per-trial Python
+replay loops; the scalar reference survives behind ``REPRO_MC_SCALAR=1``
+(mirroring ``REPRO_BB_SCALAR``) precisely so this suite can pin them
+against each other.  Three levels are covered:
 
 * **stream level** — :mod:`repro.simulation.mtstream` reproduces
   CPython's Mersenne Twister bit-for-bit: the post-seeding state equals
@@ -16,9 +15,12 @@ are covered:
 * **engine level** — hypothesis-generated configurations (jitter mode and
   spread, wash, fault and channel-fault rates, retry budgets, seeds)
   produce byte-identical ``VerificationReport.as_dict()`` payloads and
-  identical per-trial detail from the vectorized and scalar engines;
-  The fault kernel is also pinned on RA100, whose trials read far past
-  the first 227-word chunk, so the on-demand stream really extends;
+  identical per-trial detail from the masked kernel and the scalar
+  engine, with and without device faults (the kernel's static-binding
+  case).  Explicit examples pin channel-only faults on a zero-transport
+  schedule, where a cross-device edge draws although its minimum is 0.
+  The kernel is also pinned on RA100, whose trials read far past the
+  first 227-word chunk, so the on-demand stream really extends;
 * **sharding level** — the report is invariant under the worker count,
   both in-process (``MonteCarloConfig(workers=...)``) and through the
   ``repro simulate --workers N --json`` subcommand in a fresh process.
@@ -36,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.devices.device import default_device_library
@@ -63,11 +65,26 @@ def _run(schedule, library, config, *, scalar=False):
 
 
 @pytest.fixture(scope="module")
+def pcr_zero_transport():
+    """PCR's list schedule with ``transport_time=0``: every edge minimum is 0."""
+    library = default_device_library(num_mixers=2)
+    scheduler = ListScheduler(library, ListSchedulerConfig(transport_time=0))
+    return scheduler.schedule(assay_by_name("PCR"))
+
+
+@pytest.fixture(scope="module")
 def ra100():
     """RA100's list schedule on four mixers: 100 device entries, 95 edges."""
     library = default_device_library(num_mixers=4)
     scheduler = ListScheduler(library, ListSchedulerConfig(transport_time=10))
     return scheduler.schedule(assay_by_name("RA100")), library
+
+
+def _uniforms(seeds, draws):
+    """The first ``draws`` doubles of every seed's stream, trial-major."""
+    stream = mtstream.MersenneStream(np.asarray(seeds, dtype=np.uint64), draws)
+    stream.ensure(draws)
+    return stream.draws[:draws].T
 
 
 def _detail(report):
@@ -98,15 +115,15 @@ class TestMersenneStream:
         draws=st.sampled_from([1, 2, 113, 114, 312, 313, 700]),
     )
     def test_doubles_match_cpython_across_twist_boundaries(self, seed, draws):
-        block = mtstream.uniform_block(np.array([seed], dtype=np.uint64), draws)
+        block = _uniforms([seed], draws)
         rng = random.Random(seed)
         assert block[0].tolist() == [rng.random() for _ in range(draws)]
 
     def test_small_seeds_fall_back_to_cpython(self):
-        # Seeds below 2**32 use a one-word key in CPython; the block
+        # Seeds below 2**32 use a one-word key in CPython; the stream
         # routes them through random.Random per trial.
         seeds = np.array([0, 1, 12345, (1 << 32) - 1, 1 << 32], dtype=np.uint64)
-        block = mtstream.uniform_block(seeds, 5)
+        block = _uniforms(seeds, 5)
         for t, seed in enumerate(seeds):
             rng = random.Random(int(seed))
             assert block[t].tolist() == [rng.random() for _ in range(5)]
@@ -157,7 +174,7 @@ class TestMersenneStream:
         for stream, seeds, capacity in zip(fused, (jitter, faults), (5, 400)):
             stream.ensure(capacity // 3)
             stream.ensure(capacity)
-            alone = mtstream.uniform_block(seeds, capacity)
+            alone = _uniforms(seeds, capacity)
             assert stream.draws[:capacity].T.tolist() == alone.tolist()
 
     @settings(max_examples=15, deadline=None)
@@ -173,13 +190,13 @@ class TestMersenneStream:
         ]
 
     def test_stream_block_equals_the_scalar_engines_streams(self):
-        block = mtstream.uniform_stream_block(11, "fault-", 3, 20, 9)
+        block = _uniforms(mtstream.derive_seed_block(11, "fault-", 3, 20), 9)
         for t, i in enumerate(range(3, 20)):
             rng = random.Random(derive_seed(11, f"fault-{i}"))
             assert block[t].tolist() == [rng.random() for _ in range(9)]
 
 
-# ------------------------------------------- vectorized vs scalar engine
+# ---------------------------------------------- masked kernel vs scalar
 
 
 class TestVectorizedScalarDifferential:
@@ -211,19 +228,27 @@ class TestVectorizedScalarDifferential:
         channel_rate=st.floats(min_value=0.0, max_value=1.0),
         max_retries=st.integers(min_value=0, max_value=3),
         wash_time=st.integers(min_value=0, max_value=15),
+        zero_transport=st.booleans(),
     )
+    # Channel faults only, at transport_time 0: bindings are static and
+    # every edge minimum is 0, yet each cross-device edge still draws.
+    @example(seed=3, jitter="none", fault_rate=0.0, channel_rate=0.5,
+             max_retries=1, wash_time=0, zero_transport=True)
+    @example(seed=8, jitter="uniform", fault_rate=0.0, channel_rate=0.9,
+             max_retries=1, wash_time=6, zero_transport=True)
     def test_masked_fault_kernel_is_byte_identical(
-        self, pcr_schedule, seed, jitter, fault_rate, channel_rate,
-        max_retries, wash_time,
+        self, pcr_schedule, pcr_zero_transport, seed, jitter, fault_rate,
+        channel_rate, max_retries, wash_time, zero_transport,
     ):
+        schedule = pcr_zero_transport if zero_transport else pcr_schedule
         library = default_device_library(num_mixers=2)
         config = MonteCarloConfig(
             trials=12, seed=seed, jitter=jitter, jitter_spread=0.2,
             fault_rate=fault_rate, channel_fault_rate=channel_rate,
             max_retries=max_retries, wash_time=wash_time,
         )
-        fast = _run(pcr_schedule, library, config)
-        ref = _run(pcr_schedule, library, config, scalar=True)
+        fast = _run(schedule, library, config)
+        ref = _run(schedule, library, config, scalar=True)
         assert fast.as_dict() == ref.as_dict()
         assert _detail(fast) == _detail(ref)
 
@@ -236,6 +261,11 @@ class TestVectorizedScalarDifferential:
         max_retries=st.integers(min_value=0, max_value=3),
         wash_time=st.integers(min_value=1, max_value=15),
     )
+    # No device faults: fault-free, then channel faults only.
+    @example(seed=2, jitter="normal", fault_rate=0.0, channel_rate=0.0,
+             max_retries=1, wash_time=5)
+    @example(seed=6, jitter="uniform", fault_rate=0.0, channel_rate=0.3,
+             max_retries=1, wash_time=9)
     def test_masked_kernel_extending_its_stream_is_byte_identical(
         self, ra100, seed, jitter, fault_rate, channel_rate, max_retries,
         wash_time,

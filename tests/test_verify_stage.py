@@ -20,6 +20,7 @@ from repro.batch.engine import BatchSynthesisEngine
 from repro.batch.cache import ResultCache
 from repro.batch.jobs import BatchJob
 from repro.graph.library import assay_by_name, build_pcr
+from repro.simulation import MonteCarloConfig
 from repro.synthesis.config import FlowConfig, SchedulerEngine
 from repro.synthesis.flow import synthesize
 from repro.synthesis.pipeline import (
@@ -95,6 +96,34 @@ class TestStagePlanning:
         base = pipeline.plan(graph, verify_config())
         sharded = pipeline.plan(graph, verify_config(verify_workers=6))
         assert [p.key for p in base] == [p.key for p in sharded]
+
+
+# ------------------------------------------------------- config validation
+
+
+BAD_VERIFY_VALUES = [
+    ("trials", 0),
+    ("jitter", "gaussian"),
+    ("jitter_spread", -0.1),
+    ("fault_rate", 1.5),
+    ("fault_rate", -0.01),
+    ("channel_fault_rate", 1.5),
+    ("max_retries", -1),
+    ("wash_time", -1),
+    ("workers", 0),
+]
+
+
+@pytest.mark.parametrize(
+    "name,value", BAD_VERIFY_VALUES, ids=[f"{n}={v}" for n, v in BAD_VERIFY_VALUES]
+)
+def test_bad_verify_values_are_rejected_by_both_configs(name, value):
+    # The engine config validates itself; FlowConfig reaches the same
+    # checks through MonteCarloConfig.from_flow_config.
+    with pytest.raises(ValueError, match=name):
+        MonteCarloConfig(**{name: value})
+    with pytest.raises(ValueError, match=name):
+        FlowConfig(**{f"verify_{name}": value})
 
 
 # ----------------------------------------------------- differential goldens
