@@ -46,10 +46,11 @@ Performance architecture (three stacked layers, all bit-identical):
   device-index maps, and per-entry spare candidate lists — so no trial
   ever calls ``graph.predecessors()``, hashes a string key, or sorts.
 * One masked kernel advances all trials of a block entry by entry as
-  numpy vector operations across the trial axis, with per-trial
-  fault/retry/migration masks and a per-trial draw cursor.  Without
-  device faults no binding can move, so it reads the plan's static edge
-  minima and wash predicates instead of tracking per-trial bindings.
+  numpy vector operations across the trial axis, with a per-trial draw
+  cursor.  Every trial reads the plan's static bindings, edge minima and
+  wash predicates; device faults are sparse exceptions to them: retries
+  and migrations run on the faulted rows' indices only, and an edge out
+  of a migrated entry is redone on the migrated rows only.
   The random draws still come from the per-trial SHA-derived
   ``random.Random`` streams — reproduced bit-for-bit across the trial
   axis by :mod:`repro.simulation.mtstream`, and generated on demand: the
@@ -111,7 +112,7 @@ _SCALAR_ENV = "REPRO_MC_SCALAR"
 #: below this many trials; larger runs report aggregates only.
 TRIAL_DETAIL_LIMIT = 2048
 
-#: Trials per vectorized block — bounds the ``(block x entries)``
+#: Trials per vectorized block — bounds the ``(entries x block)``
 #: matrices a batched pass materializes.
 VECTOR_BLOCK_TRIALS = 4096
 
@@ -361,14 +362,15 @@ class ReplayPlan:
     * a CSR predecessor structure (``pred_indptr``/``pred_pos``) listing,
       for each entry, the *earlier* device-bound parents in sorted-op-id
       order — exactly the parents (and the draw order) the scalar replay
-      visits — plus each edge's static precedence minimum for replays
-      without device faults, where bindings never move;
-    * static wash predicates (without device faults the device occupancy
-      sequence is schedule-determined, so "previous occupant is not a
-      direct predecessor" is a compile-time fact per entry);
+      visits — plus each edge's static precedence minimum under the
+      scheduled bindings, which every trial without a migration keeps;
+    * static wash predicates (under the scheduled bindings the device
+      occupancy sequence is schedule-determined, so "previous occupant is
+      not a direct predecessor" is a compile-time fact per entry), plus
+      the ``wash_skip`` lookup for trials whose migrations changed it;
     * per-entry spare candidate lists (compatible devices minus the
-      scheduled one, sorted by id so the scalar ``min`` tie-break is
-      reproduced by a linear strict-less scan);
+      scheduled one, sorted by id so ``argmin``'s first-minimum pick
+      reproduces the scalar ``min`` tie-break);
     * the static makespan floor contributed by entries without a device.
     """
 
@@ -737,32 +739,31 @@ class MonteCarloEngine:
     def _duration_matrix(
         self, plan: ReplayPlan, block: int, uniforms: Optional[np.ndarray]
     ) -> np.ndarray:
-        """Jittered ``(block x entries)`` durations from the jitter draws.
+        """Jittered ``(entries x block)`` durations from the jitter draws.
 
-        ``uniforms`` holds each trial's first jitter-stream draws (``None``
-        when jitter is off, which returns a read-only broadcast of the
-        nominal durations).  Bit-identical to the scalar ``_jittered``:
-        inflation factors applied in float64 and half-to-even rounding
-        (``np.rint`` == ``round``), floored at the nominal duration.
+        ``uniforms`` holds each trial's first jitter-stream draws,
+        draw-major (``None`` when jitter is off, which returns a read-only
+        broadcast of the nominal durations).  Bit-identical to the scalar
+        ``_jittered``: inflation factors applied in float64 and
+        half-to-even rounding (``np.rint`` == ``round``), floored at the
+        nominal duration.
         """
         cfg = self.config
+        nominal = plan.durations_np[:, None]
         if uniforms is None:
-            return np.broadcast_to(plan.durations_np, (block, plan.num_entries))
+            return np.broadcast_to(nominal, (plan.num_entries, block))
         jittered = int(plan.jitter_positions.size)
         if cfg.jitter == "uniform":
-            factors = 1.0 + cfg.jitter_spread * uniforms
+            factors = 1.0 + cfg.jitter_spread * uniforms[:jittered]
         else:
             factors = 1.0 + np.abs(
-                self._gauss_values(uniforms, jittered, cfg.jitter_spread)
+                self._gauss_values(uniforms.T, jittered, cfg.jitter_spread).T
             )
-        base = plan.durations_np[plan.jitter_positions]
-        inflated = np.rint(base.astype(np.float64) * factors[:, :jittered])
-        inflated = inflated.astype(np.int64)
+        base = nominal[plan.jitter_positions]
+        inflated = np.rint(base.astype(np.float64) * factors).astype(np.int64)
         np.maximum(inflated, base, out=inflated)
-        durations = np.broadcast_to(
-            plan.durations_np, (block, plan.num_entries)
-        ).copy()
-        durations[:, plan.jitter_positions] = inflated
+        durations = np.broadcast_to(nominal, (plan.num_entries, block)).copy()
+        durations[plan.jitter_positions] = inflated
         return durations
 
     def _fault_draw_width(self, plan: ReplayPlan) -> int:
@@ -783,11 +784,11 @@ class MonteCarloEngine:
     def _run_range_masked(
         self, lo: int, hi: int, keep_detail: bool
     ) -> _ShardOutcome:
-        """Batched replay: per-trial masks over the trial axis.
+        """Batched replay: the static plan across the trial axis.
 
         Each entry's update is the same arithmetic for every trial, just
         gated by that trial's draws.  The kernel walks entries once per
-        block, keeping per-trial state matrices (finish, device
+        block, keeping entry-major state (finish times, device
         availability) and a per-trial cursor into the block's fault
         stream, so draw *consumption* — and therefore every value —
         matches the scalar engine trial for trial.  The stream is a
@@ -796,12 +797,14 @@ class MonteCarloEngine:
         draws the entry can consume, so only draws some trial can read are
         generated.
 
-        Only device faults migrate operations.  With them, bindings,
-        washes and precedence minima are dynamic, tracked in per-trial
-        ``bound`` (binding per entry) and ``last`` (last occupant per
-        device) matrices.  Without them no binding can move, so the
-        kernel reads the plan's static edge minima and wash predicates
-        and keeps neither matrix.
+        Every trial reads the plan's static bindings, edge minima and wash
+        predicates; device faults are sparse exceptions to them.  One
+        full-width draw per entry finds the faulted rows, and retries and
+        migrations run on those row indices only.  A migration records its
+        ``(rows, spares)`` in ``moved``, and an edge out of that entry
+        redoes only those rows.  With washes, a migration also changes
+        which entry last ran on a device, so ``last`` (last occupant per
+        device and trial) is kept exactly when both are on.
         """
         cfg = self.config
         plan = self.plan()
@@ -811,7 +814,7 @@ class MonteCarloEngine:
         channel_rate = cfg.channel_fault_rate
         wash_time = cfg.wash_time
         width = self._fault_draw_width(plan)
-        bindings_move = fault_rate > 0
+        track_last = wash_time > 0 and fault_rate > 0
         indptr, pred_pos, pred_min = plan.pred_indptr, plan.pred_pos, plan.pred_min
 
         detail: List[TrialResult] = []
@@ -823,7 +826,7 @@ class MonteCarloEngine:
         jitter_draws = self._jitter_draw_count(plan)
         entry_draws = [
             (indptr[e + 1] - indptr[e] if channel_rate > 0 else 0)
-            + (2 + cfg.max_retries if bindings_move else 0)
+            + (2 + cfg.max_retries if fault_rate > 0 else 0)
             for e in range(num_entries)
         ]
         drawn = 0
@@ -847,21 +850,20 @@ class MonteCarloEngine:
             if jitter_draws:
                 jitter = streams.pop(0)
                 jitter.ensure(jitter_draws)
-                jitter_uniforms = jitter.draws[:jitter_draws].T
+                jitter_uniforms = jitter.draws[:jitter_draws]
             durations = self._duration_matrix(plan, block, jitter_uniforms)
             if width:
                 faults = streams[0]
                 fault_draws = faults.draws
                 cursor = np.zeros(block, dtype=np.intp)
 
-            finish = np.empty((block, num_entries), dtype=np.int64)
-            avail = np.zeros((block, plan.num_devices), dtype=np.int64)
+            finish = np.empty((num_entries, block), dtype=np.int64)
+            avail = np.zeros((plan.num_devices, block), dtype=np.int64)
             ready = np.empty(block, dtype=np.int64)
-            if bindings_move:
-                bound = np.empty((block, num_entries), dtype=np.int64)
-                if num_entries:
-                    bound[:] = np.asarray(plan.device, dtype=np.int64)
-                last = np.full((block, plan.num_devices), num_entries, np.int64)
+            if track_last:
+                last = np.full((plan.num_devices, block), num_entries, np.int64)
+            # entry -> (rows that migrated it, the spare each row ran it on)
+            moved: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
             cnt_faults = np.zeros(block, dtype=np.int64)
             cnt_recovered = np.zeros(block, dtype=np.int64)
             cnt_retries = np.zeros(block, dtype=np.int64)
@@ -876,34 +878,50 @@ class MonteCarloEngine:
                     # cursor; the stream clamps at its capacity.
                     faults.ensure(int(cursor.max()) + entry_draws[e])
                 dev = plan.device[e]
-                dur_e = durations[:, e]
+                dur_e = durations[e]
                 ready.fill(plan.starts[e])
                 for k in range(indptr[e], indptr[e + 1]):
                     p = pred_pos[k]
-                    if bindings_move:
-                        cross = bound[:, p] != dev
-                        minimum = np.where(cross, transport, 0)
-                    else:
-                        cross = plan.device[p] != dev
-                        minimum = pred_min[k]
                     # A channel draw per edge whose two devices differ —
                     # not per non-zero minimum: at transport_time 0 every
                     # minimum is 0, yet cross edges still draw.
-                    if channel_rate > 0 and (bindings_move or cross):
-                        vals = fault_draws[cursor, rows]
-                        cursor += cross
-                        hit = cross & (vals < channel_rate)
-                        minimum = minimum + np.where(hit, transport, 0)
+                    drew = channel_rate > 0 and plan.device[p] != dev
+                    minimum = pred_min[k]
+                    if drew:
+                        hit = fault_draws[cursor, rows] < channel_rate
+                        cursor += 1
                         cnt_reroutes += hit
-                    np.maximum(ready, finish[:, p] + minimum, out=ready)
+                        minimum = minimum + np.where(hit, transport, 0)
+                    arrive = finish[p] + minimum
+                    if p in moved:
+                        # Rows that ran ``p`` on a spare: redo their edge
+                        # (a spare never equals p's scheduled device, so
+                        # a same-device edge always turns cross).
+                        m_rows, m_devs = moved[p]
+                        m_cross = m_devs != dev
+                        m_min = np.where(m_cross, transport, 0)
+                        if channel_rate > 0:
+                            # Take back the static draw; re-read the same
+                            # position only where the real edge is cross.
+                            if drew:
+                                cursor[m_rows] -= 1
+                                cnt_reroutes[m_rows] -= hit[m_rows]
+                            m_hit = m_cross & (
+                                fault_draws[cursor[m_rows], m_rows] < channel_rate
+                            )
+                            cursor[m_rows] += m_cross
+                            cnt_reroutes[m_rows] += m_hit
+                            m_min += np.where(m_hit, transport, 0)
+                        arrive[m_rows] = finish[p, m_rows] + m_min
+                    np.maximum(ready, arrive, out=ready)
 
-                entry_avail = avail[:, dev]
+                entry_avail = avail[dev]
                 if wash_time > 0:
-                    if bindings_move:
-                        need = ~plan.wash_skip[e][last[:, dev]]
+                    if track_last:
+                        need = ~plan.wash_skip[e][last[dev]]
                     else:
                         need = plan.wash_static[e]
-                    if bindings_move or need:
+                    if track_last or need:
                         entry_avail = entry_avail + np.where(need, wash_time, 0)
                         cnt_washes += need
                         over = np.nonzero(need & (entry_avail > plan.starts[e]))[0]
@@ -912,90 +930,72 @@ class MonteCarloEngine:
                             block_notes.append(
                                 (block_lo + int(t), e, 0, int(entry_avail[t]))
                             )
-                end = np.maximum(ready, entry_avail) + dur_e
+                end = np.maximum(ready, entry_avail)
+                end += dur_e
 
-                cur_dev: Optional[np.ndarray] = None
-                if bindings_move:
-                    vals = fault_draws[cursor, rows]
+                if fault_rate > 0:
+                    live = np.flatnonzero(fault_draws[cursor, rows] < fault_rate)
                     cursor += 1
-                    faulted = vals < fault_rate
-                    cnt_faults += faulted
-                    ok = np.zeros(block, dtype=bool)
-                    active = faulted.copy()
+                    cnt_faults[live] += 1
                     for _ in range(cfg.max_retries):
-                        if not active.any():
+                        if not live.size:
                             break
-                        end = end + np.where(active, dur_e, 0)
-                        cnt_retries += active
-                        vals = fault_draws[cursor, rows]
-                        cursor += active
-                        succeeded = active & (vals >= fault_rate)
-                        ok |= succeeded
-                        active = active & ~succeeded
-                    cnt_recovered += ok
-                    unresolved = faulted & ~ok
-                    if unresolved.any():
-                        candidates = plan.spares_np[e]
-                        if candidates.size:
-                            spare_avail_all = avail[:, candidates]
-                            choice = np.argmin(spare_avail_all, axis=1)
-                            spare_col = candidates[choice]
-                            spare_avail = spare_avail_all[rows, choice]
-                            cnt_migrations += unresolved
-                            migrated_end = (
-                                np.maximum(end + transport, spare_avail) + dur_e
+                        end[live] += dur_e[live]  # the failed attempt
+                        cnt_retries[live] += 1
+                        ok = fault_draws[cursor[live], live] >= fault_rate
+                        cursor[live] += 1
+                        cnt_recovered[live[ok]] += 1
+                        live = live[~ok]
+                    candidates = plan.spares_np[e]
+                    if live.size and candidates.size:
+                        spares = candidates[
+                            np.argmin(avail[candidates[:, None], live], axis=0)
+                        ]
+                        cnt_migrations[live] += 1
+                        migrated = np.maximum(
+                            end[live] + transport, avail[spares, live]
+                        )
+                        migrated += dur_e[live]
+                        bad = fault_draws[cursor[live], live] < fault_rate
+                        cursor[live] += 1
+                        cnt_recovered[live[~bad]] += 1
+                        migrated += np.where(bad, dur_e[live], 0)
+                        notes_total += int(np.count_nonzero(bad))
+                        for t, spare in zip(
+                            live[bad][:MAX_DIAGNOSTICS], spares[bad]
+                        ):
+                            block_notes.append(
+                                (block_lo + int(t), e, 1, int(spare))
                             )
-                            vals = fault_draws[cursor, rows]
-                            cursor += unresolved
-                            bad = unresolved & (vals < fault_rate)
-                            cnt_recovered += unresolved & ~bad
-                            migrated_end = migrated_end + np.where(bad, dur_e, 0)
-                            bad_rows = np.nonzero(bad)[0]
-                            notes_total += int(bad_rows.size)
-                            for t in bad_rows[:MAX_DIAGNOSTICS]:
-                                block_notes.append(
-                                    (block_lo + int(t), e, 1, int(spare_col[t]))
-                                )
-                            end = np.where(unresolved, migrated_end, end)
-                            # Repair window on the faulted (scheduled) device.
-                            avail[:, dev] = np.where(
-                                unresolved,
-                                np.maximum(avail[:, dev], end),
-                                avail[:, dev],
-                            )
-                            cur_dev = np.where(unresolved, spare_col, dev)
-                        else:
-                            end = end + np.where(unresolved, dur_e, 0)
-                            bad_rows = np.nonzero(unresolved)[0]
-                            notes_total += int(bad_rows.size)
-                            for t in bad_rows[:MAX_DIAGNOSTICS]:
-                                block_notes.append(
-                                    (block_lo + int(t), e, 1, -1)
-                                )
+                        end[live] = migrated
+                        moved[e] = (live, spares)
+                    elif live.size:
+                        end[live] += dur_e[live]  # best effort, in place
+                        notes_total += int(live.size)
+                        for t in live[:MAX_DIAGNOSTICS]:
+                            block_notes.append((block_lo + int(t), e, 1, -1))
 
-                finish[:, e] = end
-                if cur_dev is None:
-                    # end >= entry_avail >= the device's availability, so a
-                    # straight assignment preserves the max semantics.
-                    avail[:, dev] = end
-                    if bindings_move:
-                        last[:, dev] = e
-                else:
-                    bound[:, e] = cur_dev
-                    moved = np.nonzero(cur_dev != dev)[0]
-                    stayed = np.nonzero(cur_dev == dev)[0]
-                    avail[stayed, dev] = np.maximum(
-                        avail[stayed, dev], end[stayed]
-                    )
-                    last[stayed, dev] = e
-                    moved_cols = cur_dev[moved]
-                    avail[moved, moved_cols] = np.maximum(
-                        avail[moved, moved_cols], end[moved]
-                    )
-                    last[moved, moved_cols] = e
+                finish[e] = end
+                # end >= entry_avail >= the device's availability, so a
+                # straight assignment preserves the max semantics; on a
+                # migrated row it is also the scheduled device's repair
+                # window, and (end >= the spare's availability) the
+                # spare's new availability.
+                avail[dev] = end
+                if e not in moved:
+                    if track_last:
+                        last[dev] = e
+                    continue
+                m_rows, m_devs = moved[e]
+                avail[m_devs, m_rows] = end[m_rows]
+                if track_last:
+                    kept = last[dev, m_rows]
+                    last[dev] = e
+                    last[dev, m_rows] = kept
+                    last[m_devs, m_rows] = e
 
             if num_entries:
-                makespans = finish.max(axis=1)
+                makespans = finish.max(axis=0)
                 if plan.static_floor:
                     np.maximum(makespans, plan.static_floor, out=makespans)
             else:

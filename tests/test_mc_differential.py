@@ -20,7 +20,11 @@ against each other.  Three levels are covered:
   case).  Explicit examples pin channel-only faults on a zero-transport
   schedule, where a cross-device edge draws although its minimum is 0.
   The kernel is also pinned on RA100, whose trials read far past the
-  first 227-word chunk, so the on-demand stream really extends;
+  first 227-word chunk, so the on-demand stream really extends, and at
+  realistic rates over hundreds of trials, where a device fault is a
+  sparse exception: migrated and unmigrated rows mix in one block, and
+  a single-detector library sends some faulted rows down the no-spare
+  branch;
 * **sharding level** — the report is invariant under the worker count,
   both in-process (``MonteCarloConfig(workers=...)``) and through the
   ``repro simulate --workers N --json`` subcommand in a fresh process.
@@ -311,6 +315,54 @@ class TestVectorizedScalarDifferential:
         assert marker.startswith("... +") and marker.endswith(" more")
         dropped = int(marker[len("... +"):-len(" more")])
         assert dropped > 0
+
+
+class TestSparseFaultExceptions:
+    """Realistic fault rates, where a fault is an exception in its block.
+
+    The kernel replays every trial on the static plan and redoes only the
+    faulted rows, so the cases that matter are blocks where migrated and
+    unmigrated rows of one entry mix, and where an edge out of a migrated
+    entry is redone on a few rows only.
+    """
+
+    @pytest.mark.parametrize("max_retries", [0, 1])
+    def test_sparse_migrations_on_ra100_are_byte_identical(
+        self, ra100, max_retries
+    ):
+        schedule, library = ra100
+        config = MonteCarloConfig(
+            trials=600, seed=31, jitter="uniform", jitter_spread=0.2,
+            fault_rate=0.05, channel_fault_rate=0.02,
+            max_retries=max_retries, wash_time=6,
+        )
+        fast = _run(schedule, library, config)
+        ref = _run(schedule, library, config, scalar=True)
+        migrated = [t.migrations > 0 for t in fast.trials]
+        assert 0 < sum(migrated) < config.trials
+        if max_retries:
+            assert 0 < fast.aggregate.migrations < config.trials
+        assert fast.as_dict() == ref.as_dict()
+        assert _detail(fast) == _detail(ref)
+
+    def test_entries_without_a_spare_are_byte_identical(self):
+        # One detector: a faulted detection has no spare and completes in
+        # place, on a subset of rows, while faulted mixes still migrate.
+        library = default_device_library(num_mixers=4, num_detectors=1)
+        scheduler = ListScheduler(library, ListSchedulerConfig(transport_time=10))
+        schedule = scheduler.schedule(assay_by_name("CPA"))
+        config = MonteCarloConfig(
+            trials=600, seed=12, jitter="uniform", jitter_spread=0.2,
+            fault_rate=0.05, channel_fault_rate=0.02, max_retries=0,
+            wash_time=6,
+        )
+        fast = _run(schedule, library, config)
+        ref = _run(schedule, library, config, scalar=True)
+        assert any("no compatible spare" in v for v in fast.violations)
+        assert 0 < fast.aggregate.migrations
+        assert 0 < fast.recovery_rate < 1
+        assert fast.as_dict() == ref.as_dict()
+        assert _detail(fast) == _detail(ref)
 
 
 # ------------------------------------------------------ worker invariance
